@@ -34,11 +34,7 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("compressed_opw_tr_30m", |b| {
         b.iter(|| {
-            let mut store = MovingObjectStore::new(IngestMode::Compressed {
-                epsilon: 30.0,
-                speed_epsilon: None,
-                max_window: 256,
-            });
+            let mut store = MovingObjectStore::new(IngestMode::OpwTr { eps: 30.0 });
             for (id, trip) in dataset.iter().enumerate() {
                 store.insert_trajectory(id as u64, trip).expect("valid trip");
             }

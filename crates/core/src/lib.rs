@@ -45,6 +45,10 @@
 //! [`streaming::OnePassStream`], which share the
 //! [`streaming::StreamingCompressor`] lifecycle.
 //!
+//! [`catalog`] is the one table from an `--algo` name to a batch
+//! compressor and, for the online families, an ingest
+//! [`streaming::CodecSpec`].
+//!
 //! ## Error calculus
 //!
 //! [`error`] implements the paper's §4 measures, most importantly the
@@ -82,6 +86,7 @@
 #![deny(missing_docs)]
 
 pub mod bottom_up;
+pub mod catalog;
 pub mod criterion;
 pub mod dead_reckoning;
 pub(crate) mod obs;
@@ -103,6 +108,7 @@ pub mod td_sp;
 pub mod workspace;
 
 pub use bottom_up::BottomUp;
+pub use catalog::{algorithm_catalog, AlgoMeta, ErrorBound};
 pub use criterion::{
     Criterion, Perpendicular, SegmentCriterion, SplitDecision, TimeRatio, TimeRatioSpeed,
 };
@@ -122,6 +128,6 @@ pub use segmentation::{detect_stops, segment_stops_moves, stop_ratio, Episode, S
 pub use simple::{DistanceThreshold, UniformSample};
 pub use sliding_window::SlidingWindow;
 pub use spt::spt;
-pub use streaming::{OnePassStream, OwStream, StreamingCompressor};
+pub use streaming::{CodecSpec, OnePassStream, OwStream, SessionCodec, StreamingCompressor};
 pub use td_sp::TdSp;
 pub use workspace::Workspace;

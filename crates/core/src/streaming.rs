@@ -11,7 +11,10 @@
 //!   open window, optional `max_window` memory valve);
 //! * [`OnePassStream`] — the incremental one-pass SED family
 //!   ([`crate::OnePassFit`] / [`crate::OnePassCone`]): O(1) state, no
-//!   window buffer at all.
+//!   window buffer at all;
+//! * [`CodecSpec`] / [`SessionCodec`] — the per-mover ingest codec over
+//!   both streams (or raw pass-through), shared by `trajc serve`'s
+//!   sessions and the store's ingest mode.
 //!
 //! Feeding a whole trajectory through a stream produces *exactly* the
 //! same kept points as the corresponding batch compressor — pinned by
@@ -48,16 +51,19 @@ impl StreamCore {
 
 /// The shared open/flush lifecycle of a record-at-a-time compressor.
 ///
-/// Implementors provide only the algorithm step ([`step`]) and the
-/// end-of-stream drain ([`drain`]); the trait supplies the public
-/// [`push`]/[`finish`] entry points with uniform input validation
+/// Implementors provide only the algorithm step ([`step`]), the
+/// end-of-stream drain ([`drain`]) and the open tail ([`pending`]); the
+/// trait supplies the public [`push`]/[`push_into`]/[`finish`] entry
+/// points with uniform input validation
 /// (finite fixes, strictly increasing timestamps), accepted/emitted
 /// accounting, and the flush-once metrics contract — the lifecycle that
 /// `OwStream` and `OnePassStream` would otherwise duplicate.
 ///
 /// [`step`]: StreamingCompressor::step
 /// [`drain`]: StreamingCompressor::drain
+/// [`pending`]: StreamingCompressor::pending
 /// [`push`]: StreamingCompressor::push
+/// [`push_into`]: StreamingCompressor::push_into
 /// [`finish`]: StreamingCompressor::finish
 ///
 /// ```
@@ -114,6 +120,17 @@ pub trait StreamingCompressor {
     /// running count of accepted fixes). A rejected fix leaves the
     /// stream state untouched and usable.
     fn push(&mut self, fix: Fix) -> Result<Vec<Fix>, ModelError> {
+        let mut out = Vec::new();
+        self.push_into(fix, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`StreamingCompressor::push`] appending the committed fixes onto
+    /// `out` instead of returning a fresh vector.
+    ///
+    /// # Errors
+    /// Like [`StreamingCompressor::push`]; `out` is untouched on error.
+    fn push_into(&mut self, fix: Fix, out: &mut Vec<Fix>) -> Result<(), ModelError> {
         if !fix.is_finite() {
             return Err(ModelError::NonFinite { index: self.core().pushed });
         }
@@ -126,10 +143,10 @@ pub trait StreamingCompressor {
         let core = self.core_mut();
         core.pushed += 1;
         core.last_t = Some(fix.t);
-        let mut out = Vec::new();
-        self.step(fix, &mut out);
-        self.core_mut().emitted += out.len();
-        Ok(out)
+        let before = out.len();
+        self.step(fix, out);
+        self.core_mut().emitted += out.len() - before;
+        Ok(())
     }
 
     /// Flushes the stream: drains the final committed fixes and
@@ -151,6 +168,10 @@ pub trait StreamingCompressor {
     fn pushed(&self) -> usize {
         self.core().pushed
     }
+
+    /// The freshest accepted fix not yet emitted — the one
+    /// [`StreamingCompressor::finish`] would commit now — if any.
+    fn pending(&self) -> Option<Fix>;
 }
 
 /// Incremental opening-window compressor.
@@ -159,8 +180,8 @@ pub trait StreamingCompressor {
 /// compressible input the window can grow without bound — the price of
 /// the OW family's look-back — so a `max_window` safety valve can force
 /// a cut just before the float once the buffer reaches a limit, trading
-/// a little compression for bounded memory (used by `traj-store`'s
-/// ingest path).
+/// a little compression for bounded memory (ingest sessions use
+/// [`OPW_SESSION_MAX_WINDOW`]).
 ///
 /// ```
 /// use traj_compress::streaming::{OwStream, StreamingCompressor};
@@ -258,11 +279,6 @@ impl OwStream {
         self.window.len()
     }
 
-    /// The freshest buffered fix (the current float), if any.
-    pub fn last_buffered(&self) -> Option<Fix> {
-        self.window.last().copied()
-    }
-
     /// Re-establishes the invariant that every float position in the
     /// current window has been checked against the current anchor,
     /// cutting (possibly repeatedly) on violations — the exact loop
@@ -357,13 +373,19 @@ impl StreamingCompressor for OwStream {
     /// The final fix (if any besides the anchor) is committed, mirroring
     /// the batch algorithm's always-keep-the-last countermeasure.
     fn drain(&mut self, out: &mut Vec<Fix>) {
-        if self.window.len() >= 2 {
-            if let Some(last) = self.window.last() {
-                self.core.run.window_closed();
-                out.push(*last);
-            }
+        if let Some(last) = self.pending() {
+            self.core.run.window_closed();
+            out.push(last);
         }
         self.window.clear();
+    }
+
+    /// The float, once the window holds more than the (emitted) anchor.
+    fn pending(&self) -> Option<Fix> {
+        match self.window.as_slice() {
+            [_, .., float] => Some(*float),
+            _ => None,
+        }
     }
 }
 
@@ -516,11 +538,7 @@ impl StreamingCompressor for OnePassStream {
     /// duplicate — except for a single-fix stream, whose only fix was
     /// already emitted as the anchor.
     fn drain(&mut self, out: &mut Vec<Fix>) {
-        if self.core.pushed >= 2 {
-            if let Some((_, prev)) = self.state.take() {
-                out.push(prev);
-            }
-        }
+        out.extend(self.pending());
         self.state = None;
         match &mut self.region {
             StreamRegion::Fit(r) => r.reset(),
@@ -528,6 +546,153 @@ impl StreamingCompressor for OnePassStream {
                 let mut r = ConeRegion { dirs, off, apothem: *apothem };
                 r.reset();
             }
+        }
+    }
+
+    /// The newest fix, unless it is the lone (emitted) first anchor.
+    fn pending(&self) -> Option<Fix> {
+        self.state.filter(|_| self.core.pushed >= 2).map(|(_, prev)| prev)
+    }
+}
+
+/// Opening-window sessions cap their buffered window so one mover's
+/// pathological stream cannot grow memory without bound.
+pub const OPW_SESSION_MAX_WINDOW: usize = 64;
+
+/// Which online codec an ingest session runs, with its thresholds.
+/// Built from an `--algo` name by [`crate::catalog::codec`]; used per
+/// mover by `trajc serve` and as the store's ingest mode.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CodecSpec {
+    /// No compression: every accepted fix is kept.
+    Raw,
+    /// One-pass cone intersection (the ingest default).
+    OpCone {
+        /// SED tolerance, metres.
+        eps: f64,
+    },
+    /// One-pass linear-fit test.
+    OpFit {
+        /// SED tolerance, metres.
+        eps: f64,
+    },
+    /// Opening-window with the perpendicular criterion (NOPW).
+    Nopw {
+        /// Perpendicular-distance tolerance, metres.
+        eps: f64,
+    },
+    /// Opening-window with the perpendicular criterion, cut before the
+    /// float (BOPW).
+    Bopw {
+        /// Perpendicular-distance tolerance, metres.
+        eps: f64,
+    },
+    /// Opening-window with the time-ratio (SED) criterion.
+    OpwTr {
+        /// SED tolerance, metres.
+        eps: f64,
+    },
+    /// Opening-window with the spatiotemporal (SED + speed) criterion.
+    OpwSp {
+        /// SED tolerance, metres.
+        eps: f64,
+        /// Speed-difference tolerance, m/s.
+        speed_eps: f64,
+    },
+}
+
+impl CodecSpec {
+    /// The ingest default: one-pass cone at `eps` metres.
+    #[must_use]
+    pub fn default_with(eps: f64) -> Self {
+        CodecSpec::OpCone { eps }
+    }
+
+    /// Builds a fresh session codec for one mover. Opening-window
+    /// sessions are capped at [`OPW_SESSION_MAX_WINDOW`] fixes.
+    ///
+    /// # Panics
+    /// Panics on non-finite or negative thresholds; specs built by
+    /// [`crate::catalog::codec`] are already validated.
+    #[must_use]
+    pub fn build(&self) -> SessionCodec {
+        let ow = |criterion, strategy| {
+            SessionCodec::Ow(
+                OwStream::new(criterion, strategy).with_max_window(OPW_SESSION_MAX_WINDOW),
+            )
+        };
+        match *self {
+            CodecSpec::Raw => SessionCodec::Raw,
+            CodecSpec::OpCone { eps } => SessionCodec::OnePass(OnePassStream::cone(eps)),
+            CodecSpec::OpFit { eps } => SessionCodec::OnePass(OnePassStream::fit(eps)),
+            CodecSpec::Nopw { eps } => {
+                ow(Criterion::Perpendicular { epsilon: eps }, BreakStrategy::Normal)
+            }
+            CodecSpec::Bopw { eps } => {
+                ow(Criterion::Perpendicular { epsilon: eps }, BreakStrategy::BeforeFloat)
+            }
+            CodecSpec::OpwTr { eps } => {
+                ow(Criterion::TimeRatio { epsilon: eps }, BreakStrategy::Normal)
+            }
+            CodecSpec::OpwSp { eps, speed_eps } => ow(
+                Criterion::TimeRatioSpeed { epsilon: eps, speed_epsilon: speed_eps },
+                BreakStrategy::Normal,
+            ),
+        }
+    }
+}
+
+/// One mover's live codec state. An enum rather than a boxed trait
+/// object because [`StreamingCompressor::finish`] consumes `self`.
+#[derive(Debug, Clone)]
+pub enum SessionCodec {
+    /// Pass-through.
+    Raw,
+    /// An opening-window stream.
+    Ow(OwStream),
+    /// A one-pass (fit or cone) stream.
+    OnePass(OnePassStream),
+}
+
+impl SessionCodec {
+    /// Feeds one fix, appending whatever the codec emits (possibly
+    /// nothing, possibly several buffered points on a window break)
+    /// onto `out`.
+    ///
+    /// # Errors
+    /// Lossy codecs reject non-finite fixes and non-monotone timestamps,
+    /// leaving the session state unchanged. `Raw` passes every fix
+    /// through; its caller validates.
+    pub fn push_into(&mut self, fix: Fix, out: &mut Vec<Fix>) -> Result<(), ModelError> {
+        match self {
+            SessionCodec::Raw => {
+                out.push(fix);
+                Ok(())
+            }
+            SessionCodec::Ow(s) => s.push_into(fix, out),
+            SessionCodec::OnePass(s) => s.push_into(fix, out),
+        }
+    }
+
+    /// The freshest accepted fix the codec has not emitted yet (see
+    /// [`StreamingCompressor::pending`]); always `None` for `Raw`.
+    #[must_use]
+    pub fn pending(&self) -> Option<Fix> {
+        match self {
+            SessionCodec::Raw => None,
+            SessionCodec::Ow(s) => s.pending(),
+            SessionCodec::OnePass(s) => s.pending(),
+        }
+    }
+
+    /// Flushes the session's open tail (clean-shutdown path). `Raw`
+    /// sessions have nothing buffered.
+    #[must_use]
+    pub fn finish(self) -> Vec<Fix> {
+        match self {
+            SessionCodec::Raw => Vec::new(),
+            SessionCodec::Ow(s) => s.finish(),
+            SessionCodec::OnePass(s) => s.finish(),
         }
     }
 }
@@ -762,5 +927,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn raw_sessions_pass_every_fix_through() {
+        let mut codec = CodecSpec::Raw.build();
+        let mut out = Vec::new();
+        for i in 0..5 {
+            codec.push_into(Fix::from_parts(i as f64, i as f64, 0.0), &mut out).unwrap();
+        }
+        assert_eq!(out.len(), 5);
+        assert_eq!(codec.pending(), None);
+        assert!(codec.finish().is_empty());
+    }
+
+    #[test]
+    fn lossy_sessions_emit_fewer_points_on_a_straight_line() {
+        for spec in [
+            CodecSpec::OpCone { eps: 10.0 },
+            CodecSpec::OpFit { eps: 10.0 },
+            CodecSpec::Nopw { eps: 10.0 },
+            CodecSpec::Bopw { eps: 10.0 },
+            CodecSpec::OpwTr { eps: 10.0 },
+            CodecSpec::OpwSp { eps: 10.0, speed_eps: 5.0 },
+        ] {
+            let mut codec = spec.build();
+            let mut out = Vec::new();
+            for i in 0..100 {
+                let fix = Fix::from_parts(i as f64 * 10.0, i as f64 * 100.0, 0.0);
+                codec.push_into(fix, &mut out).unwrap();
+                // The newest fix is either emitted or pending, never lost.
+                assert!(out.last() == Some(&fix) || codec.pending() == Some(fix), "{spec:?}");
+            }
+            out.extend(codec.finish());
+            assert!(out.len() < 10, "{spec:?}: straight line kept {} of 100 points", out.len());
+            assert!(out.len() >= 2, "{spec:?}: endpoints must survive");
+            for w in out.windows(2) {
+                assert!(w[1].t > w[0].t, "{spec:?}: emitted times not monotone");
+            }
+        }
+    }
+
+    #[test]
+    fn sessions_reject_non_monotone_time_without_breaking() {
+        let mut codec = CodecSpec::default_with(10.0).build();
+        let mut out = Vec::new();
+        codec.push_into(Fix::from_parts(10.0, 0.0, 0.0), &mut out).unwrap();
+        assert!(codec.push_into(Fix::from_parts(5.0, 1.0, 0.0), &mut out).is_err());
+        // The session keeps working after a rejected fix.
+        codec.push_into(Fix::from_parts(20.0, 2.0, 0.0), &mut out).unwrap();
+        out.extend(codec.finish());
+        assert!(!out.is_empty());
     }
 }

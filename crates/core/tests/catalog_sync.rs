@@ -1,9 +1,10 @@
-//! Pins `ALGORITHMS.md` to the live registry: the documentation table's
+//! Pins `ALGORITHMS.md` to the live catalog: the documentation table's
 //! rows must list exactly the `algorithm_catalog()` entries, in order,
 //! with the bound / complexity / streaming / reference cells matching
-//! the machine-readable metadata. Editing either side alone fails here.
+//! the machine-readable metadata (the streaming cell is "row has a
+//! session constructor"). Editing either side alone fails here.
 
-use traj_eval::algorithm_catalog;
+use traj_compress::algorithm_catalog;
 
 /// One parsed row of the markdown table: the cells between pipes, with
 /// code spans unwrapped.
@@ -62,18 +63,18 @@ fn documented_table_matches_live_catalog() {
     let rows = parse_table(&load_doc());
     let catalog = algorithm_catalog();
     let documented: Vec<&str> = rows.iter().map(|r| r.cli_name.as_str()).collect();
-    let registered: Vec<&str> = catalog.iter().map(|m| m.cli_name).collect();
+    let registered: Vec<&str> = catalog.iter().map(|m| m.name).collect();
     assert_eq!(
         documented, registered,
         "ALGORITHMS.md rows and algorithm_catalog() entries differ \
          (names or order) — update whichever side is stale"
     );
     for (row, meta) in rows.iter().zip(catalog) {
-        let name = meta.cli_name;
+        let name = meta.name;
         assert_eq!(row.criterion, meta.criterion, "{name}: criterion cell");
         assert_eq!(row.bound, meta.bound.as_str(), "{name}: bound cell");
         assert_eq!(row.complexity, meta.complexity, "{name}: complexity cell");
-        let streaming = if meta.streaming { "yes" } else { "no" };
+        let streaming = if meta.streams() { "yes" } else { "no" };
         assert_eq!(row.streaming, streaming, "{name}: streaming cell");
         assert_eq!(row.reference, meta.reference, "{name}: reference cell");
     }
@@ -81,7 +82,7 @@ fn documented_table_matches_live_catalog() {
 
 #[test]
 fn catalog_covers_the_one_pass_family() {
-    let names: Vec<&str> = algorithm_catalog().iter().map(|m| m.cli_name).collect();
+    let names: Vec<&str> = algorithm_catalog().iter().map(|m| m.name).collect();
     assert_eq!(names.len(), 15);
     assert!(names.contains(&"op-fit"));
     assert!(names.contains(&"op-cone"));

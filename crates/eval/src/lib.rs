@@ -13,9 +13,8 @@
 //!
 //! Beyond the paper, [`figures::fig_onepass`] compares the one-pass SED
 //! family (OP-FIT / OP-CONE, Lin et al., arXiv 1801.05360) against NDP,
-//! TD-TR and OPW-TR on the same grid, and
-//! [`registry::algorithm_catalog`] is the live, test-synced source of
-//! truth behind the root `ALGORITHMS.md` catalog.
+//! TD-TR and OPW-TR on the same grid. The name → algorithm table behind
+//! `ALGORITHMS.md` is `traj_compress::catalog`.
 //!
 //! All experiments follow the paper's §4.3 protocol: ten trajectories
 //! (the calibrated synthetic dataset of `traj-gen`), fifteen spatial
@@ -38,7 +37,7 @@ pub use experiment::{
     sweep, sweep_algo, sweep_algo_parallel, AlgoSweep, SweepPoint, PAPER_SPEED_THRESHOLDS,
     PAPER_THRESHOLDS,
 };
-pub use registry::{algorithm_catalog, Algo, AlgoMeta, ErrorBound};
+pub use registry::Algo;
 pub use extensions::{
     class_datasets, class_signatures, interpolation_gap, noise_ablation, object_classes,
     online_spectrum, sampling_ablation,

@@ -14,215 +14,6 @@
 use traj_compress::{CompressionResult, CompressionResultBuf, Compressor, TopDown, Workspace};
 use traj_model::Trajectory;
 
-/// How tightly a compressor's declared threshold bounds the error of its
-/// output, under the algorithm's *own* criterion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorBound {
-    /// Every dropped point provably satisfies the declared threshold
-    /// against the kept segment that covers it.
-    Strict,
-    /// The threshold steers per-point decisions but the error of the
-    /// final kept subsequence may exceed it.
-    Heuristic,
-    /// The parameter is not an error threshold at all (e.g. a sampling
-    /// step).
-    None,
-}
-
-impl ErrorBound {
-    /// The catalog-table cell text: `strict` / `heuristic` / `none`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorBound::Strict => "strict",
-            ErrorBound::Heuristic => "heuristic",
-            ErrorBound::None => "none",
-        }
-    }
-}
-
-/// One row of the live algorithm catalog — the machine-readable source
-/// of truth that `ALGORITHMS.md` is diffed against (see
-/// `crates/eval/tests/catalog_sync.rs`).
-pub struct AlgoMeta {
-    /// The `trajc compress --algo` name (primary alias).
-    pub cli_name: &'static str,
-    /// The discarding criterion, in one phrase.
-    pub criterion: &'static str,
-    /// Whether the declared threshold is a strict bound on the output.
-    pub bound: ErrorBound,
-    /// Asymptotic time complexity (worst case unless noted).
-    pub complexity: &'static str,
-    /// Whether a record-at-a-time streaming form exists.
-    pub streaming: bool,
-    /// Where the algorithm comes from.
-    pub reference: &'static str,
-    /// Builds the compressor at a given primary threshold (speed-blended
-    /// algorithms use the paper's 5 m/s default speed threshold).
-    pub make: fn(f64) -> Box<dyn Compressor>,
-}
-
-impl std::fmt::Debug for AlgoMeta {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AlgoMeta")
-            .field("cli_name", &self.cli_name)
-            .field("criterion", &self.criterion)
-            .field("bound", &self.bound)
-            .field("complexity", &self.complexity)
-            .field("streaming", &self.streaming)
-            .field("reference", &self.reference)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Every registered compressor, in the order `ALGORITHMS.md` documents
-/// them. Each row carries a live constructor, so the catalog cannot
-/// drift from the code: the sync test compresses with every `make` and
-/// diffs `cli_name`s against the documentation table.
-pub fn algorithm_catalog() -> &'static [AlgoMeta] {
-    use traj_compress::{
-        BottomUp, DeadReckoning, DistanceThreshold, DouglasPeucker, HullDouglasPeucker,
-        OnePassCone, OnePassFit, OpeningWindow, SlidingWindow, TdSp, TdTr, UniformSample,
-    };
-    const CATALOG: &[AlgoMeta] = &[
-        AlgoMeta {
-            cli_name: "uniform",
-            criterion: "keep every i-th point",
-            bound: ErrorBound::None,
-            complexity: "O(n)",
-            streaming: true,
-            reference: "Tobler; paper §2",
-            make: |eps| Box::new(UniformSample::new(eps.round().max(1.0) as usize)),
-        },
-        AlgoMeta {
-            cli_name: "dist",
-            criterion: "distance to last kept point",
-            bound: ErrorBound::None,
-            complexity: "O(n)",
-            streaming: true,
-            reference: "paper §2",
-            make: |eps| Box::new(DistanceThreshold::new(eps)),
-        },
-        AlgoMeta {
-            cli_name: "ndp",
-            criterion: "perpendicular distance (top-down split)",
-            bound: ErrorBound::Strict,
-            complexity: "O(n²) worst",
-            streaming: false,
-            reference: "Douglas & Peucker; paper §2.1",
-            make: |eps| Box::new(DouglasPeucker::new(eps)),
-        },
-        AlgoMeta {
-            cli_name: "ndp-hull",
-            criterion: "perpendicular distance (hull-accelerated split)",
-            bound: ErrorBound::Strict,
-            complexity: "O(n log n) expected",
-            streaming: false,
-            reference: "Hershberger & Snoeyink [17]",
-            make: |eps| Box::new(HullDouglasPeucker::new(eps)),
-        },
-        AlgoMeta {
-            cli_name: "td-tr",
-            criterion: "synchronized (time-ratio) distance, top-down",
-            bound: ErrorBound::Strict,
-            complexity: "O(n²) worst",
-            streaming: false,
-            reference: "paper §3.2",
-            make: |eps| Box::new(TdTr::new(eps)),
-        },
-        AlgoMeta {
-            cli_name: "td-sp",
-            criterion: "SED + derived-speed difference, top-down",
-            bound: ErrorBound::Strict,
-            complexity: "O(n²) worst",
-            streaming: false,
-            reference: "paper §4.3",
-            make: |eps| Box::new(TdSp::new(eps, 5.0)),
-        },
-        AlgoMeta {
-            cli_name: "nopw",
-            criterion: "perpendicular distance, opening window",
-            bound: ErrorBound::Strict,
-            complexity: "O(n²) worst",
-            streaming: true,
-            reference: "paper §2.2",
-            make: |eps| Box::new(OpeningWindow::nopw(eps)),
-        },
-        AlgoMeta {
-            cli_name: "bopw",
-            criterion: "perpendicular distance, opening window (cut before float)",
-            bound: ErrorBound::Strict,
-            complexity: "O(n²) worst",
-            streaming: true,
-            reference: "paper §2.2",
-            make: |eps| Box::new(OpeningWindow::bopw(eps)),
-        },
-        AlgoMeta {
-            cli_name: "opw-tr",
-            criterion: "synchronized (time-ratio) distance, opening window",
-            bound: ErrorBound::Strict,
-            complexity: "O(n²) worst",
-            streaming: true,
-            reference: "paper §3.3",
-            make: |eps| Box::new(OpeningWindow::opw_tr(eps)),
-        },
-        AlgoMeta {
-            cli_name: "opw-sp",
-            criterion: "SED + derived-speed difference, opening window",
-            bound: ErrorBound::Strict,
-            complexity: "O(n²) worst",
-            streaming: true,
-            reference: "paper §3.3 (SPT)",
-            make: |eps| Box::new(OpeningWindow::opw_sp(eps, 5.0)),
-        },
-        AlgoMeta {
-            cli_name: "dead-reckoning",
-            criterion: "dead-reckoned prediction error",
-            bound: ErrorBound::Heuristic,
-            complexity: "O(n)",
-            streaming: true,
-            reference: "Wolfson et al.; DESIGN.md extension",
-            make: |eps| Box::new(DeadReckoning::new(eps)),
-        },
-        AlgoMeta {
-            cli_name: "bottom-up",
-            criterion: "cheapest-merge criterion deviation",
-            bound: ErrorBound::Strict,
-            complexity: "O(n log n) heap ops, O(span) re-eval",
-            streaming: false,
-            reference: "Keogh et al.; paper §2",
-            make: |eps| Box::new(BottomUp::time_ratio(eps)),
-        },
-        AlgoMeta {
-            cli_name: "sliding-window",
-            criterion: "synchronized distance in a fixed window",
-            bound: ErrorBound::Strict,
-            complexity: "O(n·w²) worst",
-            streaming: true,
-            reference: "Keogh et al.; paper §2",
-            make: |eps| Box::new(SlidingWindow::time_ratio(eps, 32)),
-        },
-        AlgoMeta {
-            cli_name: "op-fit",
-            criterion: "SED via rectangular velocity fitting region",
-            bound: ErrorBound::Strict,
-            complexity: "O(n)",
-            streaming: true,
-            reference: "Lin et al., arXiv 1801.05360 (OPERB)",
-            make: |eps| Box::new(OnePassFit::new(eps)),
-        },
-        AlgoMeta {
-            cli_name: "op-cone",
-            criterion: "SED via inscribed-polygon velocity region",
-            bound: ErrorBound::Strict,
-            complexity: "O(n·m), m directions",
-            streaming: true,
-            reference: "Lin et al., arXiv 1801.05360 (CISED)",
-            make: |eps| Box::new(OnePassCone::new(eps)),
-        },
-    ];
-    CATALOG
-}
-
 /// How an [`Algo`] produces per-threshold results.
 enum AlgoKind {
     /// Top-down family: one split-tree pass answers every threshold.
@@ -333,33 +124,5 @@ mod tests {
         let a = Algo::top_down("NDP", TopDown::perpendicular(0.0));
         assert_eq!(a.label(), "NDP");
         assert!(format!("{a:?}").contains("one-pass"));
-    }
-
-    #[test]
-    fn catalog_has_fifteen_unique_live_entries() {
-        let cat = algorithm_catalog();
-        assert_eq!(cat.len(), 15);
-        let mut names: Vec<&str> = cat.iter().map(|m| m.cli_name).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 15, "duplicate cli names in catalog");
-        assert!(names.contains(&"op-fit") && names.contains(&"op-cone"));
-        // Every constructor actually compresses.
-        let t = traj();
-        for meta in cat {
-            let r = (meta.make)(30.0).compress(&t);
-            assert_eq!(r.original_len(), t.len(), "{}", meta.cli_name);
-        }
-    }
-
-    #[test]
-    fn error_bound_cells_are_the_documented_vocabulary() {
-        for meta in algorithm_catalog() {
-            assert!(
-                matches!(meta.bound.as_str(), "strict" | "heuristic" | "none"),
-                "{}",
-                meta.cli_name
-            );
-        }
     }
 }

@@ -12,7 +12,8 @@
 //!   never unbounded buffering;
 //! * [`session`] — per-mover online codecs (default: one-pass cone)
 //!   that compress *before* the WAL, shrinking log volume and fsync
-//!   payloads;
+//!   payloads (the codec is `traj_compress::streaming`'s, shared with
+//!   the store's ingest mode);
 //! * [`worker`] — one thread per shard owning a
 //!   [`traj_store::GroupCommitStore`]: drain a batch, compress, buffer,
 //!   **one fsync**, then acknowledge everything it covered
@@ -44,7 +45,7 @@ pub mod worker;
 pub use loadgen::{LoadGenConfig, LoadGenOutcome};
 pub use queue::SubmitError;
 pub use report::{LatencyHist, ReportConfig, ServeReport};
-pub use service::{ServeConfig, Service, ShutdownStats, SyncMode};
+pub use service::{ServeConfig, Service, ShutdownStats};
 pub use session::CodecSpec;
 pub use shard::shard_of;
 pub use worker::ShardStats;

@@ -125,8 +125,6 @@ impl LatencyHist {
 pub struct ReportConfig {
     /// Store shard count.
     pub shards: usize,
-    /// Durability mode name (`group-commit` / `every-append`).
-    pub sync: String,
     /// Session codec name (`raw`, `op-cone`, …).
     pub algo: String,
     /// Session SED tolerance, metres (unused by `raw`).
@@ -203,8 +201,8 @@ impl ServeReport {
         let wal_bytes =
             self.wal_bytes.map_or_else(|| "null".to_string(), |b| b.to_string());
         format!(
-            "{{\n  \"config\": {{\n    \"shards\": {},\n    \"sync\": \"{}\",\n    \
-             \"algo\": \"{}\",\n    \"eps_m\": {},\n    \"max_batch\": {},\n    \
+            "{{\n  \"config\": {{\n    \"shards\": {},\n    \"algo\": \"{}\",\n    \
+             \"eps_m\": {},\n    \"max_batch\": {},\n    \
              \"max_delay_us\": {},\n    \"queue_cap\": {},\n    \"movers\": {},\n    \
              \"fixes_per_mover\": {},\n    \"rate_fixes_per_s\": {},\n    \"threads\": {}\n  }},\n  \
              \"duration_s\": {:.6},\n  \"submitted\": {},\n  \"rejected\": {},\n  \
@@ -213,7 +211,6 @@ impl ServeReport {
              \"ack_latency_ns\": {{\n    \"count\": {},\n    \"mean\": {},\n    \"p50\": {},\n    \
              \"p90\": {},\n    \"p99\": {},\n    \"p999\": {},\n    \"max\": {}\n  }}\n}}\n",
             c.shards,
-            c.sync,
             c.algo,
             c.eps,
             c.max_batch,
@@ -288,7 +285,6 @@ mod tests {
         let report = ServeReport {
             config: ReportConfig {
                 shards: 2,
-                sync: "group-commit".into(),
                 algo: "op-cone".into(),
                 eps: 30.0,
                 max_batch: 256,

@@ -25,46 +25,6 @@ use crate::session::CodecSpec;
 use crate::shard::shard_of;
 use crate::worker::{self, ShardStats, WorkerConfig};
 
-/// When a fix becomes durable relative to its acknowledgement.
-///
-/// Both modes acknowledge only after an fsync covering the fix — the
-/// same durability classification; they differ in how many fixes share
-/// each fsync (see [`traj_store::SyncPolicy`] for the tradeoff).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncMode {
-    /// One fsync per batch ([`GroupCommitOptions`] bounds); the
-    /// throughput configuration.
-    GroupCommit,
-    /// One fsync per fix; the paper-simple baseline `BENCH_PR10.json`
-    /// measures group commit against.
-    EveryAppend,
-}
-
-impl SyncMode {
-    /// Parses the CLI `--sync` value.
-    ///
-    /// # Errors
-    /// Unknown names.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "group-commit" => Ok(SyncMode::GroupCommit),
-            "every-append" => Ok(SyncMode::EveryAppend),
-            other => Err(format!(
-                "serve: --sync must be group-commit or every-append, got {other:?}"
-            )),
-        }
-    }
-
-    /// The canonical CLI name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            SyncMode::GroupCommit => "group-commit",
-            SyncMode::EveryAppend => "every-append",
-        }
-    }
-}
-
 /// Service configuration; see field docs for defaults.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -74,10 +34,8 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Per-mover session codec; default `op-cone` at 30 m.
     pub codec: CodecSpec,
-    /// Durability mode; default [`SyncMode::GroupCommit`].
-    pub sync: SyncMode,
     /// Group commit bounds (batch size doubles as the queue drain
-    /// batch bound).
+    /// batch bound; `max_batch = 1` is one fsync per fix).
     pub group: GroupCommitOptions,
     /// WAL/snapshot options for each shard store.
     pub durable: DurableOptions,
@@ -89,7 +47,6 @@ impl Default for ServeConfig {
             shards: 2,
             queue_cap: 4096,
             codec: CodecSpec::default_with(30.0),
-            sync: SyncMode::GroupCommit,
             group: GroupCommitOptions::default(),
             durable: DurableOptions::default(),
         }
@@ -179,7 +136,6 @@ impl Service {
                 shard: k,
                 store,
                 codec: cfg.codec,
-                sync: cfg.sync,
                 max_batch: cfg.group.max_batch,
                 max_delay: cfg.group.max_delay,
             };

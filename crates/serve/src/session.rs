@@ -15,226 +15,9 @@
 //! the exact per-fix durability of the store layer. A clean shutdown
 //! always [`SessionCodec::finish`]es every session, so nothing is lost
 //! in the graceful case either way.
+//!
+//! The codec itself lives in [`traj_compress::streaming`], shared with
+//! the store's ingest mode; `--algo` names resolve through
+//! [`traj_compress::catalog::codec`].
 
-use traj_compress::streaming::{OnePassStream, OwStream, StreamingCompressor};
-use traj_model::{Fix, ModelError};
-
-/// Which online codec a session runs, with its thresholds. Parsed from
-/// the CLI `--algo` name by [`CodecSpec::parse`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CodecSpec {
-    /// No compression: every accepted fix is logged. Exact per-fix
-    /// durability; maximum WAL volume.
-    Raw,
-    /// One-pass cone intersection (the ingest default).
-    OpCone {
-        /// SED tolerance, metres.
-        eps: f64,
-    },
-    /// One-pass linear-fit test.
-    OpFit {
-        /// SED tolerance, metres.
-        eps: f64,
-    },
-    /// Opening-window with the time-ratio (SED) criterion.
-    OpwTr {
-        /// SED tolerance, metres.
-        eps: f64,
-    },
-    /// Opening-window with the spatiotemporal (SED + speed) criterion.
-    OpwSp {
-        /// SED tolerance, metres.
-        eps: f64,
-        /// Speed-difference tolerance, m/s.
-        speed_eps: f64,
-    },
-}
-
-/// Opening-window sessions cap their buffered window so one mover's
-/// pathological stream cannot grow a shard's memory without bound.
-const OPW_SESSION_MAX_WINDOW: usize = 64;
-
-impl CodecSpec {
-    /// The ingest default: one-pass cone at `eps` metres.
-    #[must_use]
-    pub fn default_with(eps: f64) -> Self {
-        CodecSpec::OpCone { eps }
-    }
-
-    /// Parses a CLI `--algo` name. Only *streaming* algorithms are
-    /// valid here — batch algorithms (`td-tr`, `ndp`, …) need the whole
-    /// trajectory and cannot run inside an ingest session.
-    ///
-    /// # Errors
-    /// Unknown or non-streaming names, and `opw-sp` without a speed
-    /// threshold.
-    pub fn parse(algo: &str, eps: f64, speed_eps: Option<f64>) -> Result<Self, String> {
-        match algo {
-            "raw" => Ok(CodecSpec::Raw),
-            "op-cone" => Ok(CodecSpec::OpCone { eps }),
-            "op-fit" => Ok(CodecSpec::OpFit { eps }),
-            "opw-tr" => Ok(CodecSpec::OpwTr { eps }),
-            "opw-sp" => match speed_eps {
-                Some(v) if v > 0.0 => Ok(CodecSpec::OpwSp { eps, speed_eps: v }),
-                _ => Err("serve: opw-sp sessions need --speed-eps > 0".into()),
-            },
-            other => Err(format!(
-                "serve: unknown session algorithm {other:?} \
-                 (streaming algorithms: raw op-cone op-fit opw-tr opw-sp)"
-            )),
-        }
-    }
-
-    /// The canonical CLI name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            CodecSpec::Raw => "raw",
-            CodecSpec::OpCone { .. } => "op-cone",
-            CodecSpec::OpFit { .. } => "op-fit",
-            CodecSpec::OpwTr { .. } => "opw-tr",
-            CodecSpec::OpwSp { .. } => "opw-sp",
-        }
-    }
-
-    /// Builds a fresh session codec for one mover.
-    #[must_use]
-    pub fn build(&self) -> SessionCodec {
-        match *self {
-            CodecSpec::Raw => SessionCodec::Raw,
-            CodecSpec::OpCone { eps } => SessionCodec::OnePass(OnePassStream::cone(eps)),
-            CodecSpec::OpFit { eps } => SessionCodec::OnePass(OnePassStream::fit(eps)),
-            CodecSpec::OpwTr { eps } => SessionCodec::Ow(
-                OwStream::opw_tr(eps).with_max_window(OPW_SESSION_MAX_WINDOW),
-            ),
-            CodecSpec::OpwSp { eps, speed_eps } => SessionCodec::Ow(
-                OwStream::opw_sp(eps, speed_eps).with_max_window(OPW_SESSION_MAX_WINDOW),
-            ),
-        }
-    }
-}
-
-/// One mover's live codec state. An enum rather than a boxed trait
-/// object because [`StreamingCompressor::finish`] consumes `self`.
-#[derive(Debug)]
-pub enum SessionCodec {
-    /// Pass-through.
-    Raw,
-    /// An opening-window stream.
-    Ow(OwStream),
-    /// A one-pass (fit or cone) stream.
-    OnePass(OnePassStream),
-}
-
-impl SessionCodec {
-    /// Feeds one fix, appending whatever the codec emits (possibly
-    /// nothing, possibly several buffered points on a window break)
-    /// onto `out`.
-    ///
-    /// # Errors
-    /// Rejects non-finite fixes and non-monotone timestamps, leaving
-    /// the session state unchanged.
-    pub fn push_into(&mut self, fix: Fix, out: &mut Vec<Fix>) -> Result<(), ModelError> {
-        match self {
-            SessionCodec::Raw => {
-                out.push(fix);
-                Ok(())
-            }
-            SessionCodec::Ow(s) => {
-                out.extend(s.push(fix)?);
-                Ok(())
-            }
-            SessionCodec::OnePass(s) => {
-                out.extend(s.push(fix)?);
-                Ok(())
-            }
-        }
-    }
-
-    /// Flushes the session's open tail (clean-shutdown path). `Raw`
-    /// sessions have nothing buffered.
-    #[must_use]
-    pub fn finish(self) -> Vec<Fix> {
-        match self {
-            SessionCodec::Raw => Vec::new(),
-            SessionCodec::Ow(s) => s.finish(),
-            SessionCodec::OnePass(s) => s.finish(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn fix(t: f64, x: f64) -> Fix {
-        Fix::from_parts(t, x, 0.0)
-    }
-
-    #[test]
-    fn parse_covers_the_streaming_family_and_rejects_batch_algos() {
-        for name in ["raw", "op-cone", "op-fit", "opw-tr"] {
-            let spec = CodecSpec::parse(name, 30.0, None).unwrap();
-            assert_eq!(spec.name(), name);
-        }
-        assert!(CodecSpec::parse("opw-sp", 30.0, None).is_err(), "needs speed");
-        assert_eq!(
-            CodecSpec::parse("opw-sp", 30.0, Some(5.0)).unwrap().name(),
-            "opw-sp"
-        );
-        // Batch algorithms are real elsewhere but invalid as sessions.
-        assert!(CodecSpec::parse("td-tr", 30.0, None).is_err());
-        assert!(CodecSpec::parse("ndp", 30.0, None).is_err());
-        assert_eq!(CodecSpec::default_with(25.0), CodecSpec::OpCone { eps: 25.0 });
-    }
-
-    #[test]
-    fn raw_sessions_pass_every_fix_through() {
-        let mut codec = CodecSpec::Raw.build();
-        let mut out = Vec::new();
-        for i in 0..5 {
-            codec.push_into(fix(i as f64, i as f64), &mut out).unwrap();
-        }
-        assert_eq!(out.len(), 5);
-        assert!(codec.finish().is_empty());
-    }
-
-    #[test]
-    fn lossy_sessions_emit_fewer_points_on_a_straight_line() {
-        for spec in [
-            CodecSpec::OpCone { eps: 10.0 },
-            CodecSpec::OpFit { eps: 10.0 },
-            CodecSpec::OpwTr { eps: 10.0 },
-            CodecSpec::OpwSp { eps: 10.0, speed_eps: 5.0 },
-        ] {
-            let mut codec = spec.build();
-            let mut out = Vec::new();
-            for i in 0..100 {
-                codec.push_into(fix(i as f64 * 10.0, i as f64 * 100.0), &mut out).unwrap();
-            }
-            out.extend(codec.finish());
-            assert!(
-                out.len() < 10,
-                "{}: straight line kept {} of 100 points",
-                spec.name(),
-                out.len()
-            );
-            assert!(out.len() >= 2, "{}: endpoints must survive", spec.name());
-            for w in out.windows(2) {
-                assert!(w[1].t > w[0].t, "{}: emitted times not monotone", spec.name());
-            }
-        }
-    }
-
-    #[test]
-    fn sessions_reject_non_monotone_time_without_breaking() {
-        let mut codec = CodecSpec::default_with(10.0).build();
-        let mut out = Vec::new();
-        codec.push_into(fix(10.0, 0.0), &mut out).unwrap();
-        assert!(codec.push_into(fix(5.0, 1.0), &mut out).is_err());
-        // The session keeps working after a rejected fix.
-        codec.push_into(fix(20.0, 2.0), &mut out).unwrap();
-        out.extend(codec.finish());
-        assert!(!out.is_empty());
-    }
-}
+pub use traj_compress::streaming::{CodecSpec, SessionCodec};

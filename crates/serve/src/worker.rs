@@ -14,7 +14,6 @@ use traj_store::GroupCommitStore;
 
 use crate::queue::Receiver;
 use crate::report::LatencyHist;
-use crate::service::SyncMode;
 use crate::session::{CodecSpec, SessionCodec};
 
 /// What one shard worker did over its lifetime.
@@ -59,7 +58,6 @@ pub(crate) struct WorkerConfig {
     pub shard: usize,
     pub store: GroupCommitStore,
     pub codec: CodecSpec,
-    pub sync: SyncMode,
     pub max_batch: usize,
     pub max_delay: Duration,
 }
@@ -84,7 +82,7 @@ fn commit(store: &mut GroupCommitStore, stats: &mut ShardStats) -> bool {
 
 /// The worker body; runs until the queue closes or storage fails.
 pub(crate) fn run(cfg: WorkerConfig, rx: &Receiver) -> ShardStats {
-    let WorkerConfig { shard, mut store, codec, sync, max_batch, max_delay } = cfg;
+    let WorkerConfig { shard, mut store, codec, max_batch, max_delay } = cfg;
     let mut stats = ShardStats::new(shard);
     let shard_label = shard.to_string();
     traj_obs::trace::set_track_label(&format!("serve-shard-{shard}"));
@@ -127,30 +125,17 @@ pub(crate) fn run(cfg: WorkerConfig, rx: &Receiver) -> ShardStats {
                         }
                     }
                 }
-                match sync {
-                    // The baseline durability mode: one fsync per
-                    // report, ack immediately after it.
-                    SyncMode::EveryAppend => {
-                        if !commit(&mut store, &mut stats) {
-                            stats.sessions = sessions.len();
-                            return stats;
-                        }
-                        ack(&mut stats, acks_ctr, ack_hist, item.submitted);
-                    }
-                    SyncMode::GroupCommit => waiting.push(item.submitted),
-                }
+                waiting.push(item.submitted);
             }
-            if matches!(sync, SyncMode::GroupCommit) {
-                // One fsync covers the whole batch (a batch that emitted
-                // nothing — all fixes absorbed into open codec windows —
-                // commits nothing and acks immediately).
-                if !commit(&mut store, &mut stats) {
-                    stats.sessions = sessions.len();
-                    return stats;
-                }
-                for submitted in waiting.drain(..) {
-                    ack(&mut stats, acks_ctr, ack_hist, submitted);
-                }
+            // One fsync covers the whole batch (a batch that emitted
+            // nothing — all fixes absorbed into open codec windows —
+            // commits nothing and acks immediately).
+            if !commit(&mut store, &mut stats) {
+                stats.sessions = sessions.len();
+                return stats;
+            }
+            for submitted in waiting.drain(..) {
+                ack(&mut stats, acks_ctr, ack_hist, submitted);
             }
             depth_gauge.set(rx.depth() as f64);
         }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use traj_gen::fleet::{Fleet, FleetConfig};
 use traj_serve::{
-    loadgen, shard_of, CodecSpec, LoadGenConfig, ServeConfig, Service, SubmitError, SyncMode,
+    loadgen, shard_of, CodecSpec, LoadGenConfig, ServeConfig, Service, SubmitError,
 };
 use traj_store::storage::MemStorage;
 use traj_store::{DurableOptions, DurableStore, GroupCommitOptions, IngestMode};
@@ -124,11 +124,13 @@ fn compressed_sessions_shrink_the_wal_and_flush_on_shutdown() {
     }
 }
 
-/// The every-append baseline acks everything too — one fsync per fix.
+/// The per-append baseline is group commit with `max_batch = 1`: it
+/// acks everything too, one fsync per fix.
 #[test]
-fn every_append_mode_acks_with_per_fix_commits() {
+fn max_batch_one_acks_with_per_fix_commits() {
     let disk = Arc::new(MemStorage::new());
-    let cfg = ServeConfig { sync: SyncMode::EveryAppend, ..raw_config(1) };
+    let mut cfg = raw_config(1);
+    cfg.group.max_batch = 1;
     let service = Service::start_with(disk, Path::new(DIR), cfg).unwrap();
     for k in 0..10u64 {
         service.submit(7, fix_at(k)).unwrap();
@@ -137,6 +139,13 @@ fn every_append_mode_acks_with_per_fix_commits() {
     assert!(stats.errors.is_empty());
     assert_eq!(stats.acked, 10);
     assert_eq!(stats.commits, 10, "one fsync batch per fix");
+}
+
+/// Shard stores and sessions take one codec spec type.
+#[test]
+fn store_ingest_mode_is_the_session_codec_spec() {
+    let spec: IngestMode = CodecSpec::default_with(30.0);
+    assert_eq!(spec, traj_compress::catalog::codec("op-cone", 30.0, None).unwrap());
 }
 
 fn fix_at(k: u64) -> traj_model::Fix {

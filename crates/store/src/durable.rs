@@ -374,7 +374,7 @@ mod tests {
 
     #[test]
     fn compressed_mode_recovers_within_budget_and_keeps_compressing() {
-        let mode = IngestMode::Compressed { epsilon: 40.0, speed_epsilon: None, max_window: 32 };
+        let mode = IngestMode::OpwTr { eps: 40.0 };
         let disk = Arc::new(MemStorage::new());
         let (mut s, _) = open_mem(&disk, mode);
         for i in 0..100 {

@@ -246,11 +246,7 @@ mod tests {
     #[test]
     fn compressed_store_persists_its_kept_subset() -> Result<(), Box<dyn std::error::Error>> {
         let dir = tmp("compressed");
-        let mut s = MovingObjectStore::new(IngestMode::Compressed {
-            epsilon: 1000.0,
-            speed_epsilon: None,
-            max_window: 64,
-        });
+        let mut s = MovingObjectStore::new(IngestMode::OpwTr { eps: 1000.0 });
         for i in 0..50 {
             s.append(1, Fix::from_parts(i as f64 * 10.0, i as f64 * 100.0, 0.0))?;
         }

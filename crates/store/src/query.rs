@@ -292,11 +292,7 @@ mod tests {
     fn grid_rtree_and_scan_agree_on_compressed_store() {
         // End-to-end: ingest with compression, query through all three
         // paths.
-        let mut s = MovingObjectStore::new(IngestMode::Compressed {
-            epsilon: 30.0,
-            speed_epsilon: None,
-            max_window: 64,
-        });
+        let mut s = MovingObjectStore::new(IngestMode::OpwTr { eps: 30.0 });
         for (id, phase) in [(10u64, 0.0f64), (11, 1.0), (12, 2.0)] {
             s.insert_trajectory(
                 id,
@@ -334,11 +330,7 @@ mod tests {
         }))
         .unwrap();
         let eps = 25.0;
-        let mut s = MovingObjectStore::new(IngestMode::Compressed {
-            epsilon: eps,
-            speed_epsilon: None,
-            max_window: 128,
-        });
+        let mut s = MovingObjectStore::new(IngestMode::OpwTr { eps });
         s.insert_trajectory(1, &raw_traj).unwrap();
         // At every *sample* instant the stored answer is within eps.
         for f in raw_traj.fixes() {

@@ -211,6 +211,8 @@ struct MemFs {
     crashed: bool,
     /// Cumulative bytes successfully written (for sizing crash sweeps).
     written: u64,
+    /// Successful file syncs (fsync batching tests count these).
+    syncs: u64,
     /// Per-file durable prefix length: what an fsync has pinned. Files
     /// without an entry have never been synced (durable length 0).
     synced: BTreeMap<PathBuf, usize>,
@@ -289,6 +291,11 @@ impl MemStorage {
     /// crash-at-every-offset sweeps).
     pub fn written_bytes(&self) -> u64 {
         lock_fs(&self.fs).written
+    }
+
+    /// Successful [`StorageWriter::sync`] calls so far, across all files.
+    pub fn sync_count(&self) -> u64 {
+        lock_fs(&self.fs).syncs
     }
 
     /// Simulates a power loss that empties the page cache: every file
@@ -382,6 +389,7 @@ impl StorageWriter for MemWriter {
         // durable — it survives a later `drop_unsynced`.
         let len = fs.files.get(&self.path).map_or(0, Vec::len);
         fs.synced.insert(self.path.clone(), len);
+        fs.syncs += 1;
         Ok(())
     }
 }

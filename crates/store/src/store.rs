@@ -2,29 +2,17 @@
 
 use std::collections::BTreeMap;
 
-use traj_compress::streaming::{OwStream, StreamingCompressor};
-use traj_compress::{BreakStrategy, Criterion};
+use traj_compress::streaming::SessionCodec;
 use traj_model::{Fix, ModelError, Trajectory};
 
 /// Identifier of a tracked moving object.
 pub type ObjectId = u64;
 
-/// How fixes are persisted on ingest.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum IngestMode {
-    /// Store every reported fix.
-    Raw,
-    /// Compress online with the opening-window stream (OPW-TR, or OPW-SP
-    /// when a speed threshold is given): only the kept fixes are stored.
-    Compressed {
-        /// Synchronized-distance error budget, metres.
-        epsilon: f64,
-        /// Optional derived-speed-difference threshold, m/s (OPW-SP).
-        speed_epsilon: Option<f64>,
-        /// Bound on the open window (memory valve), fixes.
-        max_window: usize,
-    },
-}
+/// How fixes are persisted on ingest: the same session codec spec
+/// `trajc serve` runs per mover. `Raw` stores every reported fix; any
+/// other spec compresses online, per object, and stores only the fixes
+/// the codec keeps.
+pub use traj_compress::streaming::CodecSpec as IngestMode;
 
 /// Errors from store operations.
 #[derive(Debug)]
@@ -107,35 +95,32 @@ impl StoreStats {
     }
 }
 
-/// Per-object state: committed fixes plus (in compressed mode) the open
-/// window.
+/// Per-object state: committed fixes plus (in compressed mode) the
+/// object's ingest codec. A raw-mode object carries no codec at all, so
+/// its state stays three words plus the fix vector.
 #[derive(Debug, Clone)]
 struct ObjectState {
     committed: Vec<Fix>,
-    stream: Option<OwStream>,
+    codec: Option<Box<SessionCodec>>,
     ingested: usize,
 }
 
 impl ObjectState {
+    /// `codec` is the store's fresh codec template.
+    fn new(codec: &Option<Box<SessionCodec>>, committed: Vec<Fix>) -> Self {
+        ObjectState { ingested: committed.len(), committed, codec: codec.clone() }
+    }
+
+    /// The codec's freshest accepted-but-unemitted fix: the end of the
+    /// queryable span when the codec holds an open tail.
+    fn pending_tail(&self) -> Option<Fix> {
+        self.codec.as_ref().and_then(|c| c.pending())
+    }
+
     /// Latest raw fix known for the object (pending tail wins over the
     /// last committed fix).
     fn latest(&self) -> Option<Fix> {
-        match &self.stream {
-            Some(s) if s.window_len() >= 2 => self.pending_tail(),
-            _ => self.committed.last().copied(),
-        }
-    }
-
-    fn pending_tail(&self) -> Option<Fix> {
-        // The stream buffers [anchor, ..., float]; the anchor is already
-        // committed. The float is the freshest position.
-        self.stream.as_ref().and_then(|s| {
-            if s.window_len() >= 2 {
-                s.last_buffered()
-            } else {
-                None
-            }
-        })
+        self.pending_tail().or_else(|| self.committed.last().copied())
     }
 }
 
@@ -145,11 +130,7 @@ impl ObjectState {
 /// use traj_store::{IngestMode, MovingObjectStore};
 /// use traj_model::Fix;
 ///
-/// let mut store = MovingObjectStore::new(IngestMode::Compressed {
-///     epsilon: 30.0,
-///     speed_epsilon: None,
-///     max_window: 256,
-/// });
+/// let mut store = MovingObjectStore::new(IngestMode::OpwTr { eps: 30.0 });
 /// for i in 0..1000u64 {
 ///     // A car reporting every 10 s while cruising a straight road.
 ///     store.append(7, Fix::from_parts(i as f64 * 10.0, i as f64 * 150.0, 0.0)).unwrap();
@@ -159,7 +140,9 @@ impl ObjectState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MovingObjectStore {
-    mode: IngestMode,
+    /// A fresh codec for the ingest mode, cloned into each new object
+    /// (`None` in raw mode).
+    codec: Option<Box<SessionCodec>>,
     objects: BTreeMap<ObjectId, ObjectState>,
 }
 
@@ -167,37 +150,12 @@ impl MovingObjectStore {
     /// Creates an empty store with the given ingest mode.
     ///
     /// # Panics
-    /// Panics on non-finite/negative thresholds in
-    /// [`IngestMode::Compressed`].
+    /// Panics on non-finite or negative thresholds in `mode` (see
+    /// [`IngestMode::build`]); specs resolved by
+    /// `traj_compress::catalog::codec` are already validated.
     pub fn new(mode: IngestMode) -> Self {
-        if let IngestMode::Compressed { epsilon, speed_epsilon, .. } = mode {
-            assert!(epsilon.is_finite() && epsilon >= 0.0, "epsilon must be finite and >= 0");
-            if let Some(v) = speed_epsilon {
-                assert!(v >= 0.0 && !v.is_nan(), "speed_epsilon must be >= 0");
-            }
-        }
-        MovingObjectStore { mode, objects: BTreeMap::new() }
-    }
-
-    /// The configured ingest mode.
-    pub fn mode(&self) -> IngestMode {
-        self.mode
-    }
-
-    fn new_stream(&self) -> Option<OwStream> {
-        match self.mode {
-            IngestMode::Raw => None,
-            IngestMode::Compressed { epsilon, speed_epsilon, max_window } => {
-                let criterion = match speed_epsilon {
-                    None => Criterion::TimeRatio { epsilon },
-                    Some(v) => Criterion::TimeRatioSpeed { epsilon, speed_epsilon: v },
-                };
-                Some(
-                    OwStream::new(criterion, BreakStrategy::Normal)
-                        .with_max_window(max_window),
-                )
-            }
-        }
+        let codec = (!matches!(mode, IngestMode::Raw)).then(|| Box::new(mode.build()));
+        MovingObjectStore { codec, objects: BTreeMap::new() }
     }
 
     /// Appends a reported fix for `id`, creating the object on first
@@ -210,41 +168,16 @@ impl MovingObjectStore {
         if !fix.is_finite() {
             return Err(StoreError::Model(ModelError::NonFinite { index: 0 }));
         }
-        let stream_template = self.new_stream();
-        let state = self.objects.entry(id).or_insert_with(|| ObjectState {
-            committed: Vec::new(),
-            stream: stream_template,
-            ingested: 0,
-        });
-        match &mut state.stream {
-            None => {
-                if let Some(last) = state.committed.last() {
-                    // `fix` is already known finite.
-                    if last.t >= fix.t {
-                        return Err(StoreError::Model(ModelError::NonMonotonicTime {
-                            index: state.ingested,
-                        }));
-                    }
-                }
-                state.committed.push(fix);
-            }
-            Some(stream) => {
-                if stream.window_len() == 0 {
-                    // A fresh stream (first contact, or right after
-                    // `restore_trajectory`) has no window to check
-                    // monotonicity against; the committed history is
-                    // the reference.
-                    if let Some(last) = state.committed.last() {
-                        if last.t >= fix.t {
-                            return Err(StoreError::Model(ModelError::NonMonotonicTime {
-                                index: state.ingested,
-                            }));
-                        }
-                    }
-                }
-                let emitted = stream.push(fix)?;
-                state.committed.extend(emitted);
-            }
+        let codec = &self.codec;
+        let state = self.objects.entry(id).or_insert_with(|| ObjectState::new(codec, Vec::new()));
+        // The latest known fix is the reference even for a fresh codec
+        // (first contact, or right after `restore_trajectory`).
+        if state.latest().is_some_and(|last| last.t >= fix.t) {
+            return Err(StoreError::Model(ModelError::NonMonotonicTime { index: state.ingested }));
+        }
+        match &mut state.codec {
+            None => state.committed.push(fix),
+            Some(codec) => codec.push_into(fix, &mut state.committed)?,
         }
         state.ingested += 1;
         traj_obs::counter!("store", "inserts").inc();
@@ -287,9 +220,7 @@ impl MovingObjectStore {
                 return Err(StoreError::Model(ModelError::NonMonotonicTime { index: i }));
             }
         }
-        let ingested = fixes.len();
-        let stream = self.new_stream();
-        self.objects.insert(id, ObjectState { committed: fixes, stream, ingested });
+        self.objects.insert(id, ObjectState::new(&self.codec, fixes));
         Ok(())
     }
 
@@ -364,10 +295,7 @@ impl MovingObjectStore {
         let mut stored = 0usize;
         for s in self.objects.values() {
             ingested += s.ingested;
-            stored += s.committed.len();
-            if s.pending_tail().is_some() {
-                stored += 1;
-            }
+            stored += s.committed.len() + usize::from(s.pending_tail().is_some());
         }
         StoreStats { objects: self.objects.len(), ingested_points: ingested, stored_points: stored }
     }
@@ -407,11 +335,7 @@ mod tests {
 
     #[test]
     fn compressed_mode_stores_fewer_points() {
-        let mut s = MovingObjectStore::new(IngestMode::Compressed {
-            epsilon: 50.0,
-            speed_epsilon: None,
-            max_window: 256,
-        });
+        let mut s = MovingObjectStore::new(IngestMode::OpwTr { eps: 50.0 });
         for f in zigzag_fixes(200) {
             s.append(1, f).unwrap();
         }
@@ -423,11 +347,8 @@ mod tests {
 
     #[test]
     fn queryable_span_reaches_latest_report() {
-        let mut s = MovingObjectStore::new(IngestMode::Compressed {
-            epsilon: 1e6, // everything compresses; window stays open
-            speed_epsilon: None,
-            max_window: 10_000,
-        });
+        // Everything compresses; the window stays open.
+        let mut s = MovingObjectStore::new(IngestMode::OpwTr { eps: 1e6 });
         let fixes = zigzag_fixes(30);
         for f in &fixes {
             s.append(9, *f).unwrap();
@@ -435,6 +356,20 @@ mod tests {
         let t = s.trajectory(9).unwrap();
         assert_eq!(t.end_time(), fixes.last().unwrap().t);
         assert_eq!(s.latest(9).unwrap(), *fixes.last().unwrap());
+    }
+
+    #[test]
+    fn every_session_spec_stores_its_batch_output() {
+        // Shorter than a session window, so no forced cut: committed
+        // fixes plus the pending tail are exactly the batch kept set.
+        let traj = Trajectory::new(zigzag_fixes(60)).unwrap();
+        for meta in traj_compress::algorithm_catalog().iter().filter(|m| m.streams()) {
+            let mut s = MovingObjectStore::new(meta.codec(40.0, Some(5.0)).unwrap());
+            s.insert_trajectory(1, &traj).unwrap();
+            let batch = meta.compressor(40.0, Some(5.0)).unwrap().compress(&traj);
+            assert_eq!(s.trajectory(1).unwrap(), batch.apply(&traj), "{}", meta.name);
+            assert_eq!(s.latest(1), traj.fixes().last().copied(), "{}", meta.name);
+        }
     }
 
     #[test]
@@ -506,11 +441,7 @@ mod tests {
         use traj_compress::TdTr;
         // Paper §2: batch algorithms consistently beat online ones.
         let traj = Trajectory::new(zigzag_fixes(300)).unwrap();
-        let mut online = MovingObjectStore::new(IngestMode::Compressed {
-            epsilon: 40.0,
-            speed_epsilon: None,
-            max_window: 64,
-        });
+        let mut online = MovingObjectStore::new(IngestMode::OpwTr { eps: 40.0 });
         online.insert_trajectory(1, &traj).unwrap();
         let online_stored = online.stats().stored_points;
         let mut compacted = MovingObjectStore::new(IngestMode::Raw);
@@ -525,11 +456,8 @@ mod tests {
 
     #[test]
     fn restore_bypasses_compression_and_resumes_ingest() {
-        let mut s = MovingObjectStore::new(IngestMode::Compressed {
-            epsilon: 1e9, // everything would compress away if streamed
-            speed_epsilon: None,
-            max_window: 64,
-        });
+        // Everything would compress away if streamed.
+        let mut s = MovingObjectStore::new(IngestMode::OpwTr { eps: 1e9 });
         let kept = zigzag_fixes(10);
         s.restore_trajectory(5, kept.clone()).unwrap();
         // The restored subset is stored verbatim, not re-compressed.
@@ -573,11 +501,7 @@ mod tests {
     fn compressed_error_stays_within_budget_at_samples() {
         use traj_compress::error::sed_at_samples;
         let eps = 40.0;
-        let mut s = MovingObjectStore::new(IngestMode::Compressed {
-            epsilon: eps,
-            speed_epsilon: None,
-            max_window: 64,
-        });
+        let mut s = MovingObjectStore::new(IngestMode::OpwTr { eps });
         let traj = Trajectory::new(zigzag_fixes(200)).unwrap();
         s.insert_trajectory(3, &traj).unwrap();
         let stored = s.trajectory(3).unwrap();

@@ -592,14 +592,14 @@ mod tests {
         let storage = Arc::new(MemStorage::new());
         let opts = WalOptions { sync: SyncPolicy::EveryN(4), ..WalOptions::default() };
         let mut wal = Wal::open(storage.clone(), &wal_dir(), opts)?;
-        let before = traj_obs::counter!("store", "wal_fsyncs").get();
+        // Count this storage's syncs, not the process-global
+        // `store.wal_fsyncs` counter that concurrent tests also bump.
+        let before = storage.sync_count();
         for i in 0..8 {
             wal.append(1, &fix(i as f64))?;
         }
-        if traj_obs::metrics_enabled() {
-            let after = traj_obs::counter!("store", "wal_fsyncs").get();
-            assert!(after - before <= 2 + 1, "fsyncs {before} -> {after}");
-        }
+        let after = storage.sync_count();
+        assert!(after - before <= 2 + 1, "fsyncs {before} -> {after}");
         // Data still replays in full.
         let (records, _) = replay_dir(storage.as_ref(), &wal_dir())?;
         assert_eq!(records.len(), 8);

@@ -372,7 +372,7 @@ fn short_read_of_final_segment_recovers_prefix() {
 #[test]
 fn compressed_mode_crash_sweep_stays_within_error_budget() {
     let eps = 30.0;
-    let mode = IngestMode::Compressed { epsilon: eps, speed_epsilon: None, max_window: 16 };
+    let mode = IngestMode::OpwTr { eps };
     let workload = |disk: &Arc<MemStorage>| -> Vec<Fix> {
         let mut acked = Vec::new();
         let Ok((mut store, _)) =

@@ -63,7 +63,7 @@ proptest! {
         compressed in proptest::bool::ANY,
     ) {
         let mode = if compressed {
-            IngestMode::Compressed { epsilon: 40.0, speed_epsilon: None, max_window: 32 }
+            IngestMode::OpwTr { eps: 40.0 }
         } else {
             IngestMode::Raw
         };
@@ -119,7 +119,7 @@ proptest! {
     fn compressed_store_error_budget(fleet in fleet(), eps in 5.0..100.0f64) {
         let store = load(
             &fleet,
-            IngestMode::Compressed { epsilon: eps, speed_epsilon: None, max_window: 24 },
+            IngestMode::OpwTr { eps },
         );
         for (id, traj) in fleet.iter().enumerate() {
             for fix in traj.fixes() {
@@ -143,7 +143,7 @@ proptest! {
         prop_assert_eq!(raw.stats().stored_points, total);
         let comp = load(
             &fleet,
-            IngestMode::Compressed { epsilon: 50.0, speed_epsilon: None, max_window: 32 },
+            IngestMode::OpwTr { eps: 50.0 },
         );
         prop_assert_eq!(comp.stats().ingested_points, total);
         prop_assert!(comp.stats().stored_points <= total);
@@ -155,7 +155,7 @@ proptest! {
     #[test]
     fn span_reaches_latest(fleet in fleet(), compressed in proptest::bool::ANY) {
         let mode = if compressed {
-            IngestMode::Compressed { epsilon: 30.0, speed_epsilon: Some(5.0), max_window: 16 }
+            IngestMode::OpwSp { eps: 30.0, speed_eps: 5.0 }
         } else {
             IngestMode::Raw
         };

@@ -44,11 +44,7 @@ fn main() {
     }
 
     // Archive: ingest through the store with a 10 m budget and persist.
-    let mut store = MovingObjectStore::new(IngestMode::Compressed {
-        epsilon: 10.0,
-        speed_epsilon: Some(1.0),
-        max_window: 128,
-    });
+    let mut store = MovingObjectStore::new(IngestMode::OpwSp { eps: 10.0, speed_eps: 1.0 });
     store.insert_trajectory(1, &track).expect("valid track");
     let stats = store.stats();
     println!(

@@ -23,11 +23,7 @@ fn main() {
 
     // Two stores: raw, and compressed-on-ingest (OPW-TR, 30 m budget).
     let mut raw = MovingObjectStore::new(IngestMode::Raw);
-    let mut compressed = MovingObjectStore::new(IngestMode::Compressed {
-        epsilon: 30.0,
-        speed_epsilon: None,
-        max_window: 512,
-    });
+    let mut compressed = MovingObjectStore::new(IngestMode::OpwTr { eps: 30.0 });
     for (id, trip) in fleet.iter().enumerate() {
         raw.insert_trajectory(id as u64, trip).expect("valid trip");
         compressed.insert_trajectory(id as u64, trip).expect("valid trip");
@@ -101,7 +97,7 @@ fn main() {
     {
         let (mut durable, _) = DurableStore::open(
             &db,
-            IngestMode::Compressed { epsilon: 30.0, speed_epsilon: None, max_window: 512 },
+            IngestMode::OpwTr { eps: 30.0 },
             DurableOptions::default(),
         )
         .expect("open durable store");
@@ -112,7 +108,7 @@ fn main() {
     }
     let (mut durable, report) = DurableStore::open(
         &db,
-        IngestMode::Compressed { epsilon: 30.0, speed_epsilon: None, max_window: 512 },
+        IngestMode::OpwTr { eps: 30.0 },
         DurableOptions::default(),
     )
     .expect("recover");

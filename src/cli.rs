@@ -17,15 +17,11 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use traj_compress::{
-    evaluate_with, BottomUp, CompressionResultBuf, Compressor, DeadReckoning, DistanceThreshold,
-    DouglasPeucker, EvalWorkspace, OpeningWindow, SlidingWindow, TdSp, TdTr, UniformSample,
-    Workspace,
-};
+use traj_compress::{catalog, evaluate_with, CompressionResultBuf, EvalWorkspace, Workspace};
 use traj_model::stats::TrajectoryStats;
 use traj_model::{io, Trajectory};
 use traj_serve::{
-    loadgen, CodecSpec, LoadGenConfig, ReportConfig, ServeConfig, ServeReport, Service, SyncMode,
+    loadgen, CodecSpec, LoadGenConfig, ReportConfig, ServeConfig, ServeReport, Service,
 };
 use traj_store::{DurableOptions, DurableStore, GroupCommitOptions, IngestMode};
 
@@ -51,7 +47,7 @@ pub enum Command {
     Compress {
         /// Input `t,x,y` file.
         file: PathBuf,
-        /// Algorithm name (see [`make_compressor`]).
+        /// Algorithm name, resolved by [`traj_compress::catalog`].
         algo: String,
         /// Distance threshold, metres.
         eps: f64,
@@ -65,9 +61,6 @@ pub enum Command {
         metrics_out: Option<PathBuf>,
         /// Sidecar format (`--metrics-format`), default JSON lines.
         metrics_format: MetricsFormat,
-        /// Worker threads for batch compression (`--threads`);
-        /// `0` = one per available core.
-        threads: usize,
         /// Write a trace timeline of the run (`--trace-out`); `.folded`
         /// extension selects flamegraph folded stacks, anything else
         /// Chrome Trace Event JSON.
@@ -113,7 +106,7 @@ pub enum Command {
 }
 
 /// The `trajc serve` flag surface (wide enough to deserve its own
-/// struct): service shape, durability mode, session codec, load
+/// struct): service shape, group commit bounds, session codec, load
 /// generator schedule and output sidecars.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeArgs {
@@ -121,14 +114,16 @@ pub struct ServeArgs {
     pub dir: PathBuf,
     /// Store shards = worker threads (`--shards`, default 2).
     pub shards: usize,
-    /// Durability mode (`--sync`, default group-commit).
-    pub sync: SyncMode,
+    /// Session algorithm name as given (`--algo`, default op-cone),
+    /// echoed into reports.
+    pub algo: String,
     /// Per-mover session codec (`--algo` + `--eps` [+ `--speed-eps`],
     /// default op-cone at 30 m).
     pub codec: CodecSpec,
     /// The SED tolerance echoed into reports.
     pub eps: f64,
-    /// Group commit batch bound (`--max-batch`, default 256).
+    /// Group commit batch bound (`--max-batch`, default 256; 1 = one
+    /// fsync per fix).
     pub max_batch: usize,
     /// Group commit delay bound in µs (`--max-delay-us`, default 500).
     pub max_delay_us: u64,
@@ -164,31 +159,44 @@ pub struct ServeArgs {
 /// # Errors
 /// Returns a usage/diagnostic string on malformed input.
 pub fn parse(args: &[String]) -> Result<Command, String> {
+    let usage = || {
+        let names = |streams: bool| {
+            catalog::algorithm_catalog()
+                .iter()
+                .filter(|m| !streams || m.streams())
+                .map(|m| m.name)
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        format!(
+            "{USAGE}\n\nalgorithms: {}\nsession algorithms (serve --algo): {} {}\n{USAGE_NOTES}",
+            names(false),
+            catalog::RAW,
+            names(true)
+        )
+    };
     const USAGE: &str = "usage: trajc <info|compress|evaluate|generate|obs|store|serve> ...\n\
         \n  trajc info <file.csv>\
         \n  trajc compress <file.csv> --algo <name> --eps <m> [--speed-eps <m/s>] [-o out.csv]\
         \n                 [--stats] [--metrics-out FILE] [--metrics-format json|csv]\
-        \n                 [--threads N]  (0 = one worker per available core)\
         \n                 [--trace-out FILE]  (.folded = flamegraph stacks, else Chrome trace JSON)\
         \n  trajc evaluate <original.csv> <approx.csv>\
         \n  trajc generate [--seed N] [--trip 0..9] -o <file.csv>\
         \n  trajc obs merge <sidecar>... [-o merged.csv]\
         \n  trajc store recover <dir> [--snapshot]\
-        \n  trajc serve <dir> --load-gen [--shards N] [--sync group-commit|every-append]\
-        \n              [--algo raw|op-cone|op-fit|opw-tr|opw-sp] [--eps <m>] [--speed-eps <m/s>]\
+        \n  trajc serve <dir> --load-gen [--shards N]\
+        \n              [--algo <session algorithm>] [--eps <m>] [--speed-eps <m/s>]\
         \n              [--max-batch N] [--max-delay-us U] [--queue-cap N]\
         \n              [--movers N] [--fixes N] [--rate F/S] [--seed N] [--threads N]\
         \n              [--report-json FILE] [--metrics-out FILE] [--metrics-format json|csv]\
-        \n              [--trace-out FILE]\
-        \n\nalgorithms: uniform dist ndp ndp-hull td-tr td-sp nopw bopw opw-tr opw-sp \
-        dead-reckoning bottom-up sliding-window op-fit op-cone\
-        \n(see ALGORITHMS.md for criteria, error bounds and complexity)\
+        \n              [--trace-out FILE]";
+    const USAGE_NOTES: &str = "(see ALGORITHMS.md for criteria, error bounds and complexity)\
         \n\n--stats prints the instrumentation table (points in/out, SED evaluations,\
         \nrecursion depth, per-phase wall time); --metrics-out writes the same snapshot\
         \nto FILE as JSON lines (default) or CSV; obs merge reads those sidecars back\
         \ninto one side-by-side table.";
     let mut it = args.iter();
-    let sub = it.next().ok_or(USAGE)?;
+    let sub = it.next().ok_or_else(usage)?;
     match sub.as_str() {
         "info" => {
             let file = it.next().ok_or("info: missing <file>")?;
@@ -203,7 +211,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut stats = false;
             let mut metrics_out = None;
             let mut metrics_format = MetricsFormat::Json;
-            let mut threads = 0usize;
             let mut trace_out = None;
             while let Some(flag) = it.next() {
                 let mut value = |name: &str| -> Result<&String, String> {
@@ -224,12 +231,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     }
                     "--trace-out" => {
                         trace_out = Some(PathBuf::from(value("--trace-out")?));
-                    }
-                    "--threads" => {
-                        let v = value("--threads")?;
-                        threads = v
-                            .parse()
-                            .map_err(|e| format!("compress: bad --threads {v:?}: {e}"))?;
                     }
                     "--metrics-format" => {
                         metrics_format = match value("--metrics-format")?.as_str() {
@@ -254,7 +255,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 stats,
                 metrics_out,
                 metrics_format,
-                threads,
                 trace_out,
             })
         }
@@ -340,7 +340,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "serve" => {
             let dir = PathBuf::from(it.next().ok_or("serve: missing <dir>")?);
             let mut shards = 2usize;
-            let mut sync = SyncMode::GroupCommit;
             let mut algo = "op-cone".to_string();
             let mut eps = 30.0f64;
             let mut speed_eps = None;
@@ -369,7 +368,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         shards = usize::try_from(parse_int(value("--shards")?, "--shards")?)
                             .map_err(|e| format!("serve: bad --shards: {e}"))?;
                     }
-                    "--sync" => sync = SyncMode::parse(value("--sync")?)?,
                     "--algo" => algo = value("--algo")?.clone(),
                     "--eps" => eps = parse_f64(value("--eps")?, "--eps")?,
                     "--speed-eps" => {
@@ -424,11 +422,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             if shards == 0 {
                 return Err("serve: --shards must be >= 1".into());
             }
-            let codec = CodecSpec::parse(&algo, eps, speed_eps)?;
+            let codec = catalog::codec(&algo, eps, speed_eps).map_err(|e| format!("serve: {e}"))?;
             Ok(Command::Serve(ServeArgs {
                 dir,
                 shards,
-                sync,
+                algo,
                 codec,
                 eps,
                 max_batch,
@@ -446,8 +444,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 trace_out,
             }))
         }
-        "--help" | "-h" => Err(USAGE.to_string()),
-        other => Err(format!("unknown subcommand {other:?}\n{USAGE}")),
+        "--help" | "-h" => Err(usage()),
+        other => Err(format!("unknown subcommand {other:?}\n{}", usage())),
     }
 }
 
@@ -553,48 +551,6 @@ fn parse_f64(s: &str, flag: &str) -> Result<f64, String> {
     Ok(v)
 }
 
-/// Builds a compressor by CLI name.
-///
-/// # Errors
-/// Returns a diagnostic for unknown names, missing speed thresholds and
-/// invalid parameter combinations.
-pub fn make_compressor(
-    algo: &str,
-    eps: f64,
-    speed_eps: Option<f64>,
-) -> Result<Box<dyn Compressor + Sync>, String> {
-    let need_speed = || {
-        speed_eps.ok_or_else(|| format!("algorithm {algo:?} needs --speed-eps"))
-    };
-    Ok(match algo {
-        "uniform" => {
-            let step = eps.round().max(1.0) as usize;
-            Box::new(UniformSample::new(step))
-        }
-        "dist" => Box::new(DistanceThreshold::new(eps)),
-        "ndp" | "dp" | "douglas-peucker" => Box::new(DouglasPeucker::new(eps)),
-        "ndp-hull" => Box::new(traj_compress::HullDouglasPeucker::new(eps)),
-        "td-tr" => Box::new(TdTr::new(eps)),
-        "td-sp" => {
-            let v = need_speed()?;
-            if v <= 0.0 {
-                return Err("td-sp: --speed-eps must be > 0".into());
-            }
-            Box::new(TdSp::new(eps, v))
-        }
-        "nopw" => Box::new(OpeningWindow::nopw(eps)),
-        "bopw" => Box::new(OpeningWindow::bopw(eps)),
-        "opw-tr" => Box::new(OpeningWindow::opw_tr(eps)),
-        "opw-sp" => Box::new(OpeningWindow::opw_sp(eps, need_speed()?)),
-        "dead-reckoning" | "dr" => Box::new(DeadReckoning::new(eps)),
-        "bottom-up" => Box::new(BottomUp::time_ratio(eps)),
-        "sliding-window" => Box::new(SlidingWindow::time_ratio(eps, 32)),
-        "op-fit" => Box::new(traj_compress::OnePassFit::new(eps)),
-        "op-cone" => Box::new(traj_compress::OnePassCone::new(eps)),
-        other => return Err(format!("unknown algorithm {other:?}")),
-    })
-}
-
 /// Executes a parsed command, returning its human-readable report.
 ///
 /// # Errors
@@ -626,7 +582,6 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             stats,
             metrics_out,
             metrics_format,
-            threads,
             trace_out,
         } => {
             // Stop the recorder even on early error returns, so a failed
@@ -648,17 +603,14 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                     t.len()
                 ));
             }
-            let compressor = make_compressor(algo, *eps, *speed_eps)?;
+            let compressor = catalog::compressor(algo, *eps, *speed_eps)?;
             let compress_timer = traj_obs::Timer::start();
-            // An explicit workspace (rather than the fleet path, which a
-            // single trajectory runs inline anyway — `--threads` only
-            // matters for batches) so the columnar copy built during
+            // An explicit workspace, so the columnar copy built during
             // compression can be handed to the evaluation below instead
             // of being de-interleaved a second time.
             let mut cws = Workspace::new();
             let result = {
                 let _phase = traj_obs::span!("cli.compress", points = t.len() as u64);
-                let _ = threads; // batch-only knob; kept for the fleet path
                 let mut buf = CompressionResultBuf::new();
                 compressor.compress_into(&t, &mut cws, &mut buf);
                 buf.take()
@@ -825,7 +777,6 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 shards: args.shards,
                 queue_cap: args.queue_cap,
                 codec: args.codec,
-                sync: args.sync,
                 group: GroupCommitOptions {
                     max_batch: args.max_batch,
                     max_delay: std::time::Duration::from_micros(args.max_delay_us),
@@ -856,8 +807,7 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             let serve_report = ServeReport {
                 config: ReportConfig {
                     shards: args.shards,
-                    sync: args.sync.name().into(),
-                    algo: args.codec.name().into(),
+                    algo: args.algo.clone(),
                     eps: args.eps,
                     max_batch: args.max_batch,
                     max_delay_us: args.max_delay_us,
@@ -881,15 +831,15 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             let _ = writeln!(report, "service:          {}", args.dir.display());
             let _ = writeln!(
                 report,
-                "shards:           {} ({} sync, {} sessions)",
+                "shards:           {} (group-commit sync, max batch {}, {} sessions)",
                 args.shards,
-                args.sync.name(),
+                args.max_batch,
                 stats.sessions
             );
             let _ = writeln!(
                 report,
                 "codec:            {} (eps {} m)",
-                args.codec.name(),
+                args.algo,
                 args.eps
             );
             let _ = writeln!(report, "duration:         {duration_s:.3} s");
@@ -1009,30 +959,9 @@ mod tests {
                 stats: false,
                 metrics_out: None,
                 metrics_format: MetricsFormat::Json,
-                threads: 0,
                 trace_out: None,
             }
         );
-    }
-
-    #[test]
-    fn parse_compress_threads_flag() {
-        // Explicit worker count.
-        let c = parse(&args("compress a.csv --algo td-tr --eps 30 --threads 4")).unwrap();
-        match c {
-            Command::Compress { threads, .. } => assert_eq!(threads, 4),
-            other => panic!("parsed {other:?}"),
-        }
-        // 0 (= one worker per available core) is the default and is
-        // also accepted explicitly.
-        let c = parse(&args("compress a.csv --algo td-tr --eps 30 --threads 0")).unwrap();
-        match c {
-            Command::Compress { threads, .. } => assert_eq!(threads, 0),
-            other => panic!("parsed {other:?}"),
-        }
-        assert!(parse(&args("compress a.csv --algo td-tr --eps 30 --threads four"))
-            .unwrap_err()
-            .contains("--threads"));
     }
 
     #[test]
@@ -1087,35 +1016,6 @@ mod tests {
     }
 
     #[test]
-    fn factory_knows_every_documented_algorithm() {
-        for name in [
-            "uniform", "dist", "ndp", "ndp-hull", "td-tr", "nopw", "bopw", "opw-tr",
-            "dead-reckoning", "bottom-up", "sliding-window", "op-fit", "op-cone",
-        ] {
-            assert!(make_compressor(name, 10.0, None).is_ok(), "{name}");
-        }
-        for name in ["td-sp", "opw-sp"] {
-            assert!(make_compressor(name, 10.0, None).is_err(), "{name} needs speed");
-            assert!(make_compressor(name, 10.0, Some(5.0)).is_ok(), "{name}");
-        }
-        assert!(make_compressor("nope", 10.0, None).is_err());
-    }
-
-    #[test]
-    fn factory_accepts_every_catalog_entry() {
-        // `ALGORITHMS.md` is pinned to `algorithm_catalog()`; this pins
-        // the CLI to the same list, so catalog, docs and `--algo` names
-        // can never drift apart. Speed-threshold entries use the
-        // paper's 5 m/s default in the catalog but need `--speed-eps`
-        // here, hence the fallback probe.
-        for meta in traj_eval::algorithm_catalog() {
-            let ok = make_compressor(meta.cli_name, 10.0, None).is_ok()
-                || make_compressor(meta.cli_name, 10.0, Some(5.0)).is_ok();
-            assert!(ok, "catalog entry {:?} not accepted by --algo", meta.cli_name);
-        }
-    }
-
-    #[test]
     fn run_info_compress_evaluate_roundtrip() {
         let dir = std::env::temp_dir().join("trajc_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1140,7 +1040,6 @@ mod tests {
             stats: false,
             metrics_out: None,
             metrics_format: MetricsFormat::Json,
-            threads: 0,
             trace_out: None,
         };
         let report = run(&compress).unwrap();
@@ -1173,7 +1072,6 @@ mod tests {
             stats: true,
             metrics_out: Some(metrics_json.clone()),
             metrics_format: MetricsFormat::Json,
-            threads: 0,
             trace_out: None,
         })
         .unwrap();
@@ -1210,7 +1108,6 @@ mod tests {
             stats: false,
             metrics_out: Some(metrics_csv.clone()),
             metrics_format: MetricsFormat::Csv,
-            threads: 0,
             trace_out: None,
         })
         .unwrap();
@@ -1315,7 +1212,6 @@ mod tests {
                 stats: false,
                 metrics_out: Some(path.clone()),
                 metrics_format: format,
-                threads: 0,
                 trace_out: None,
             })
             .unwrap();
@@ -1362,7 +1258,6 @@ mod tests {
             stats: false,
             metrics_out: None,
             metrics_format: MetricsFormat::Json,
-            threads: 0,
             trace_out: Some(trace_json.clone()),
         })
         .unwrap();
@@ -1397,7 +1292,6 @@ mod tests {
             stats: false,
             metrics_out: None,
             metrics_format: MetricsFormat::Json,
-            threads: 0,
             trace_out: Some(trace_folded.clone()),
         })
         .unwrap();
@@ -1477,8 +1371,7 @@ mod tests {
         };
         assert_eq!(a.dir, PathBuf::from("db"));
         assert_eq!(a.shards, 2);
-        assert_eq!(a.sync, SyncMode::GroupCommit);
-        assert_eq!(a.codec, CodecSpec::OpCone { eps: 30.0 });
+        assert_eq!((a.algo.as_str(), a.codec), ("op-cone", CodecSpec::OpCone { eps: 30.0 }));
         assert_eq!(a.max_batch, 256);
         assert_eq!(a.max_delay_us, 500);
         assert_eq!(a.queue_cap, 4096);
@@ -1491,7 +1384,7 @@ mod tests {
     #[test]
     fn parse_serve_full_flag_surface() {
         let Command::Serve(a) = parse(&args(
-            "serve db --shards 4 --sync every-append --algo opw-sp --eps 25 --speed-eps 5 \
+            "serve db --shards 4 --algo opw-sp --eps 25 --speed-eps 5 \
              --max-batch 64 --max-delay-us 200 --queue-cap 512 --load-gen --movers 9 \
              --fixes 7 --rate 1500 --seed 7 --threads 2 --report-json r.json \
              --metrics-out m.json --metrics-format csv --trace-out t.json",
@@ -1500,7 +1393,7 @@ mod tests {
             panic!("expected serve") // lint: allow(panic) test assertion
         };
         assert_eq!(a.shards, 4);
-        assert_eq!(a.sync, SyncMode::EveryAppend);
+        assert_eq!(a.algo, "opw-sp");
         assert_eq!(a.codec, CodecSpec::OpwSp { eps: 25.0, speed_eps: 5.0 });
         assert_eq!((a.max_batch, a.max_delay_us, a.queue_cap), (64, 200, 512));
         assert_eq!((a.movers, a.fixes, a.seed, a.threads), (9, 7, 7, 2));
@@ -1508,12 +1401,21 @@ mod tests {
         assert_eq!(a.report_json, Some(PathBuf::from("r.json")));
         assert_eq!(a.metrics_format, MetricsFormat::Csv);
         assert_eq!(a.trace_out, Some(PathBuf::from("t.json")));
+        // Every streaming catalog row is a session codec, nopw included.
+        let Command::Serve(a) = parse(&args("serve db --algo nopw --eps 10")).unwrap() else {
+            panic!("expected serve") // lint: allow(panic) test assertion
+        };
+        assert_eq!(a.codec, CodecSpec::Nopw { eps: 10.0 });
     }
 
     #[test]
     fn parse_serve_rejects_bad_inputs() {
         assert!(parse(&args("serve")).is_err(), "missing dir");
-        assert!(parse(&args("serve db --sync sometimes")).is_err(), "unknown sync");
+        assert!(parse(&args("serve db --sync every-append")).is_err(), "removed --sync flag");
+        assert!(
+            parse(&args("serve db --algo opw-sp --speed-eps 0")).is_err(),
+            "speed threshold must be > 0"
+        );
         assert!(parse(&args("serve db --algo dp")).is_err(), "batch algo in a session");
         assert!(parse(&args("serve db --shards 0")).is_err(), "zero shards");
         assert!(parse(&args("serve db --threads 0")).is_err(), "zero threads");
@@ -1524,7 +1426,7 @@ mod tests {
         ServeArgs {
             dir: dir.to_path_buf(),
             shards: 2,
-            sync: SyncMode::GroupCommit,
+            algo: "op-cone".into(),
             codec: CodecSpec::OpCone { eps: 30.0 },
             eps: 30.0,
             max_batch: 64,

@@ -74,11 +74,7 @@ fn csv_roundtrip_preserves_compression_behaviour() {
 fn store_pipeline_keeps_queries_within_budget() {
     let dataset = trajc::gen::paper_dataset(42);
     let eps = 30.0;
-    let mut store = MovingObjectStore::new(IngestMode::Compressed {
-        epsilon: eps,
-        speed_epsilon: None,
-        max_window: 256,
-    });
+    let mut store = MovingObjectStore::new(IngestMode::OpwTr { eps });
     for (id, trip) in dataset.iter().enumerate() {
         store.insert_trajectory(id as u64, trip).expect("valid trip");
     }
