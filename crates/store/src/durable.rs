@@ -25,7 +25,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use traj_model::Fix;
+use traj_model::{Fix, ModelError};
 
 use crate::persist;
 use crate::storage::{FsStorage, Storage};
@@ -184,12 +184,13 @@ impl DurableStore {
         report.skipped_corrupt = summary.corrupt_skipped;
         report.torn_tail = summary.torn_tail;
         for rec in records {
-            let covered = store.latest(rec.id).is_some_and(|l| l.t >= rec.fix.t);
-            if covered {
-                report.skipped_covered += 1;
-            } else {
-                store.append(rec.id, rec.fix)?;
-                report.replayed += 1;
+            match store.append(rec.id, rec.fix) {
+                Ok(()) => report.replayed += 1,
+                // Not later than the object's restored end: covered.
+                Err(StoreError::Model(ModelError::NonMonotonicTime { .. })) => {
+                    report.skipped_covered += 1;
+                }
+                Err(e) => return Err(e),
             }
         }
         traj_obs::counter!("store", "recovery_replayed").add(report.replayed as u64);
@@ -222,27 +223,24 @@ impl DurableStore {
     /// (nothing is logged for them) and propagates WAL write failures
     /// (the fix is then neither durable nor applied).
     pub fn append(&mut self, id: ObjectId, fix: Fix) -> Result<(), StoreError> {
-        // Validate first: the WAL must only ever hold accepted fixes.
-        if !fix.is_finite() {
-            return Err(StoreError::Model(traj_model::ModelError::NonFinite { index: 0 }));
-        }
-        if let Some(last) = self.store.latest(id) {
-            if last.t >= fix.t {
-                return Err(StoreError::Model(traj_model::ModelError::NonMonotonicTime {
-                    index: 0,
-                }));
-            }
-        }
-        self.wal.append(id, &fix)?;
-        self.store.append(id, fix)
+        // The store validates before it logs, so the WAL only ever holds
+        // accepted fixes, and it logs before it applies.
+        self.store.append_logged(id, fix, Some(&mut self.wal))
+    }
+
+    /// Pre-sizes the WAL's record buffer for `records` appends per sync
+    /// (see [`Wal::reserve_records`]).
+    pub(crate) fn reserve_log_records(&mut self, records: usize) {
+        self.wal.reserve_records(records);
     }
 
     /// Forces all logged fixes down to durable storage — the batch
     /// commit point under [`crate::wal::SyncPolicy::EveryN`] or
-    /// [`crate::wal::SyncPolicy::Manual`].
+    /// [`crate::wal::SyncPolicy::Manual`] (which first writes the records
+    /// the log holds in memory, with one call).
     ///
     /// # Errors
-    /// Propagates the backend's sync failure.
+    /// Propagates the backend's write or sync failure.
     pub fn sync(&mut self) -> Result<(), StoreError> {
         self.wal.sync()
     }
@@ -427,6 +425,22 @@ mod tests {
         drop(s);
         let (_, report) = open_mem(&disk, IngestMode::Raw);
         assert_eq!(report.replayed, 1, "only the accepted fix was logged");
+    }
+
+    #[test]
+    fn failed_wal_append_leaves_the_store_unchanged() {
+        let disk = Arc::new(MemStorage::new());
+        let (mut s, _) = open_mem(&disk, IngestMode::Raw);
+        s.append(1, fix(0.0)).unwrap();
+        let (len, stats) = (s.store().len(), s.store().stats());
+        // The log write tears: neither a new mover nor a known one may
+        // change the in-memory store.
+        disk.arm_write_budget(3);
+        assert!(matches!(s.append(2, fix(1.0)), Err(StoreError::Storage { .. })));
+        assert!(matches!(s.append(1, fix(1.0)), Err(StoreError::Storage { .. })));
+        assert_eq!(s.store().len(), len, "no empty state for the first-contact mover");
+        assert_eq!(s.store().stats(), stats);
+        assert!(s.store().latest(2).is_none());
     }
 
     #[test]

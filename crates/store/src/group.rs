@@ -4,9 +4,10 @@
 //! dominant cost of durable ingest (`BENCH_PR10.json`: it caps a shard
 //! at the disk's sync rate). Group commit amortizes it without giving
 //! up the durability class: appends from any number of sessions are
-//! *buffered* — written to the WAL and applied to the in-memory store,
-//! but **not yet acknowledged** — and a single [`GroupCommitStore::commit`]
-//! fsyncs the lot. Only fixes at or below the sequence number a commit
+//! *buffered* — encoded into the WAL's in-memory record buffer and
+//! applied to the in-memory store, but **not yet acknowledged** — and a
+//! single [`GroupCommitStore::commit`] writes the lot with one call and
+//! fsyncs it. Only fixes at or below the sequence number a commit
 //! returned may be acknowledged to their reporters; a crash can then
 //! never take back an acknowledged fix, exactly as with per-append
 //! fsync (pinned by `crates/store/tests/durability.rs`).
@@ -143,24 +144,27 @@ impl GroupCommitStore {
         group: GroupCommitOptions,
     ) -> Result<(Self, RecoveryReport), StoreError> {
         opts.wal.sync = SyncPolicy::Manual;
-        let (inner, report) = DurableStore::open_with(storage, dir, mode, opts)?;
+        let (mut inner, report) = DurableStore::open_with(storage, dir, mode, opts)?;
+        // A full batch is buffered in memory until its commit.
+        inner.reserve_log_records(group.max_batch);
         Ok((
             GroupCommitStore { inner, opts: group, buffered: 0, durable: 0, poisoned: false },
             report,
         ))
     }
 
-    /// Appends a fix to the WAL and the in-memory store *without*
-    /// making it durable. Returns its sequence number; the fix must not
-    /// be acknowledged until a later [`GroupCommitStore::commit`]
+    /// Appends a fix to the WAL's record buffer and the in-memory store
+    /// *without* making it durable. Returns its sequence number; the fix
+    /// must not be acknowledged until a later [`GroupCommitStore::commit`]
     /// returns a sequence at or above it.
     ///
     /// # Errors
     /// Validation failures ([`StoreError::Model`]) reject the fix and
-    /// leave the group intact. Storage failures poison the handle: the
-    /// log may end in a torn or abandoned (never-to-be-synced) suffix,
-    /// so no later commit from this handle may acknowledge anything —
-    /// reopen the store to recover.
+    /// leave the group intact. Storage failures (opening a segment, or
+    /// the write and fsync of a rotation) poison the handle: the log may
+    /// end in a torn or abandoned (never-to-be-synced) suffix, so no
+    /// later commit from this handle may acknowledge anything — reopen
+    /// the store to recover.
     pub fn buffer(&mut self, id: ObjectId, fix: Fix) -> Result<u64, StoreError> {
         if self.poisoned {
             return Err(self.poisoned_err());
@@ -178,14 +182,16 @@ impl GroupCommitStore {
         }
     }
 
-    /// Makes every buffered fix durable with one fsync and returns the
-    /// durable high-water sequence: acknowledge exactly the fixes whose
-    /// [`GroupCommitStore::buffer`] sequence is `<=` this value.
+    /// Makes every buffered fix durable with one write and one fsync and
+    /// returns the durable high-water sequence: acknowledge exactly the
+    /// fixes whose [`GroupCommitStore::buffer`] sequence is `<=` this
+    /// value.
     ///
     /// # Errors
-    /// A failed fsync poisons the handle (the kernel may have dropped
-    /// the dirty pages — nothing since the last good commit can be
-    /// trusted durable); reopen the store to recover.
+    /// A failed write or fsync poisons the handle (the write may be torn,
+    /// or the kernel may have dropped the dirty pages — nothing since the
+    /// last good commit can be trusted durable); reopen the store to
+    /// recover.
     pub fn commit(&mut self) -> Result<u64, StoreError> {
         if self.poisoned {
             return Err(self.poisoned_err());
@@ -385,6 +391,30 @@ mod tests {
     }
 
     #[test]
+    fn commit_writes_the_whole_group_with_one_write_and_one_fsync() {
+        let disk = Arc::new(MemStorage::new());
+        let mut s = open_mem(&disk);
+        let record = crate::wal::RECORD_BYTES as u64;
+        for round in 0..2 {
+            let (writes, syncs) = (disk.write_count(), disk.sync_count());
+            for i in 0..10 {
+                for mover in 1..=4 {
+                    s.buffer(mover, fix((round * 10 + i) as f64)).unwrap();
+                }
+            }
+            // Buffering writes nothing but the first segment's header.
+            let header = if round == 0 { 1 } else { 0 };
+            assert_eq!(disk.write_count() - writes, header, "round {round}");
+            assert_eq!(disk.sync_count(), syncs, "round {round}");
+            let (writes, bytes_before_commit) = (disk.write_count(), disk.written_bytes());
+            s.commit().unwrap();
+            assert_eq!(disk.write_count() - writes, 1, "round {round}: one write per commit");
+            assert_eq!(disk.sync_count() - syncs, 1, "round {round}: one fsync per commit");
+            assert_eq!(disk.written_bytes() - bytes_before_commit, 40 * record);
+        }
+    }
+
+    #[test]
     fn validation_rejects_do_not_poison_the_group() {
         let disk = Arc::new(MemStorage::new());
         let mut s = open_mem(&disk);
@@ -403,9 +433,12 @@ mod tests {
         let mut s = open_mem(&disk);
         s.buffer(1, fix(0.0)).unwrap();
         s.commit().unwrap();
-        // Exhaust the write budget mid-append: a torn suffix is possible.
+        // Buffering only encodes into the log's memory; the record's
+        // bytes first reach storage in the commit's single write.
+        s.buffer(1, fix(1.0)).unwrap();
+        // Exhaust the write budget inside that write: a torn suffix.
         disk.arm_write_budget(3);
-        assert!(matches!(s.buffer(1, fix(1.0)), Err(StoreError::Storage { .. })));
+        assert!(matches!(s.commit(), Err(StoreError::Storage { .. })));
         // Every later operation refuses: nothing further may be acked.
         let err = s.commit().unwrap_err();
         assert!(err.to_string().contains("poisoned"), "{err}");

@@ -211,6 +211,8 @@ struct MemFs {
     crashed: bool,
     /// Cumulative bytes successfully written (for sizing crash sweeps).
     written: u64,
+    /// Successful `write_all` calls (write batching tests count these).
+    writes: u64,
     /// Successful file syncs (fsync batching tests count these).
     syncs: u64,
     /// Per-file durable prefix length: what an fsync has pinned. Files
@@ -291,6 +293,12 @@ impl MemStorage {
     /// crash-at-every-offset sweeps).
     pub fn written_bytes(&self) -> u64 {
         lock_fs(&self.fs).written
+    }
+
+    /// Successful [`StorageWriter::write_all`] calls so far, across all
+    /// files.
+    pub fn write_count(&self) -> u64 {
+        lock_fs(&self.fs).writes
     }
 
     /// Successful [`StorageWriter::sync`] calls so far, across all files.
@@ -379,6 +387,7 @@ impl StorageWriter for MemWriter {
                 buf.len()
             )));
         }
+        fs.writes += 1;
         Ok(())
     }
 

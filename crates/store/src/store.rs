@@ -1,9 +1,12 @@
 //! The moving-object store.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use traj_compress::streaming::SessionCodec;
 use traj_model::{Fix, ModelError, Trajectory};
+
+use crate::wal::Wal;
 
 /// Identifier of a tracked moving object.
 pub type ObjectId = u64;
@@ -165,16 +168,40 @@ impl MovingObjectStore {
     /// Rejects non-finite fixes and fixes not strictly later than the
     /// object's latest fix; the store state is unchanged on error.
     pub fn append(&mut self, id: ObjectId, fix: Fix) -> Result<(), StoreError> {
+        self.append_logged(id, fix, None)
+    }
+
+    /// [`MovingObjectStore::append`] with a write-ahead log, under one
+    /// map lookup: validate, then append the accepted fix to `wal`, then
+    /// apply it. The log never sees a rejected fix, and if it fails
+    /// nothing is applied — not even the empty state of a first-contact
+    /// object. (A concrete `Wal` rather than a closure keeps the call
+    /// visible to `cargo xtask reach`.)
+    pub(crate) fn append_logged(
+        &mut self,
+        id: ObjectId,
+        fix: Fix,
+        wal: Option<&mut Wal>,
+    ) -> Result<(), StoreError> {
         if !fix.is_finite() {
             return Err(StoreError::Model(ModelError::NonFinite { index: 0 }));
         }
-        let codec = &self.codec;
-        let state = self.objects.entry(id).or_insert_with(|| ObjectState::new(codec, Vec::new()));
-        // The latest known fix is the reference even for a fresh codec
-        // (first contact, or right after `restore_trajectory`).
-        if state.latest().is_some_and(|last| last.t >= fix.t) {
-            return Err(StoreError::Model(ModelError::NonMonotonicTime { index: state.ingested }));
+        let entry = self.objects.entry(id);
+        if let Entry::Occupied(known) = &entry {
+            // The latest known fix is the reference even for a fresh
+            // codec (right after `restore_trajectory`).
+            let state = known.get();
+            if state.latest().is_some_and(|last| last.t >= fix.t) {
+                return Err(StoreError::Model(ModelError::NonMonotonicTime {
+                    index: state.ingested,
+                }));
+            }
         }
+        if let Some(wal) = wal {
+            Wal::append(wal, id, &fix)?;
+        }
+        let codec = &self.codec;
+        let state = entry.or_insert_with(|| ObjectState::new(codec, Vec::new()));
         match &mut state.codec {
             None => state.committed.push(fix),
             Some(codec) => codec.push_into(fix, &mut state.committed)?,

@@ -7,6 +7,13 @@
 //! CRC-32-checksummed records; the exact byte layout is specified in
 //! `crates/store/README.md` and pinned by tests against these constants.
 //!
+//! Under [`SyncPolicy::Manual`] — the policy group commit runs — an
+//! append only encodes the record into a buffer the [`Wal`] owns; the
+//! records reach storage in one write just before the commit's fsync
+//! ([`Wal::sync`]). Until then they live only in the log's memory, so a
+//! storage failure in that write surfaces at the commit, not at the
+//! append. The other policies write every record as it is appended.
+//!
 //! Recovery ([`replay_dir`]) tolerates exactly the failure modes a
 //! crash can produce: a torn final record (stop, report the tail), a
 //! torn segment header (treat the segment as empty), and at-rest bit
@@ -29,6 +36,9 @@ pub const RECORD_HEADER_BYTES: usize = 8;
 
 /// Payload of an appended-fix record: kind tag, object id, `t`,`x`,`y`.
 pub const FIX_PAYLOAD_BYTES: usize = 1 + 8 + 3 * 8;
+
+/// One whole appended-fix record: header plus payload (41 bytes).
+pub(crate) const RECORD_BYTES: usize = RECORD_HEADER_BYTES + FIX_PAYLOAD_BYTES;
 
 /// Record kind tag for an appended fix (the only kind in version 1).
 pub const KIND_APPEND_FIX: u8 = 1;
@@ -62,7 +72,10 @@ pub const MAX_PAYLOAD_BYTES: u32 = 1024;
 ///   accumulate and one fsync makes the whole batch durable, after
 ///   which — and only after which — those fixes are acknowledged.
 ///   Same durability class as `EveryAppend` (nothing is acknowledged
-///   before its fsync) at a fraction of the syncs.
+///   before its fsync) at a fraction of the syncs. Appended records
+///   sit in the log's memory until [`Wal::sync`] (or rotation), which
+///   writes them with one call and then fsyncs; a process crash before
+///   that loses them, and a storage failure shows up at the sync.
 ///
 /// Callers that want batching without silently weakening the
 /// acknowledged-means-durable guarantee should use
@@ -78,7 +91,8 @@ pub enum SyncPolicy {
     /// of up to `n-1` acknowledged-but-volatile fixes on power loss
     /// (crash-of-the-process alone loses nothing).
     EveryN(u32),
-    /// Only on [`Wal::sync`], rotation and truncation.
+    /// Only on [`Wal::sync`], rotation and truncation; records are held
+    /// in memory and written by that same call.
     Manual,
 }
 
@@ -248,9 +262,13 @@ pub struct Wal {
     /// Sequence number of the next segment to create.
     next_seq: u64,
     writer: Option<Box<dyn StorageWriter>>,
+    /// Bytes in the current segment, counting records still in `pending`.
     segment_bytes: u64,
     appends_since_sync: u32,
-    buf: Vec<u8>,
+    /// Encoded records not yet written to the current segment: at most
+    /// one under `EveryAppend`/`EveryN`, everything since the last sync
+    /// under `Manual`. Empty whenever `writer` is `None`.
+    pending: Vec<u8>,
 }
 
 impl std::fmt::Debug for Wal {
@@ -290,8 +308,18 @@ impl Wal {
             writer: None,
             segment_bytes: 0,
             appends_since_sync: 0,
-            buf: Vec::with_capacity(RECORD_HEADER_BYTES + FIX_PAYLOAD_BYTES),
+            pending: Vec::with_capacity(RECORD_BYTES),
         })
+    }
+
+    /// Pre-sizes the in-memory record buffer for `records` appends
+    /// between syncs, so a [`SyncPolicy::Manual`] batch of that size
+    /// never reallocates. Capped at one segment: rotation writes the
+    /// buffer out before it can grow past `segment_max_bytes`.
+    pub(crate) fn reserve_records(&mut self, records: usize) {
+        let segment = usize::try_from(self.opts.segment_max_bytes).unwrap_or(usize::MAX);
+        let bytes = records.saturating_mul(RECORD_BYTES).min(segment.saturating_add(RECORD_BYTES));
+        self.pending.reserve(bytes.saturating_sub(self.pending.len()));
     }
 
     /// The log directory.
@@ -321,7 +349,8 @@ impl Wal {
     }
 
     /// Appends one fix record; the record is durable per the configured
-    /// [`SyncPolicy`] when this returns.
+    /// [`SyncPolicy`] when this returns. Under [`SyncPolicy::Manual`] it
+    /// is only buffered: the next [`Wal::sync`] writes it.
     ///
     /// # Errors
     /// Backend write/sync failures. After an error the current segment
@@ -329,53 +358,72 @@ impl Wal {
     /// never precedes good records within one segment.
     pub fn append(&mut self, id: ObjectId, fix: &Fix) -> Result<(), StoreError> {
         let _span = traj_obs::trace_span!("wal.append");
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.clear();
-        encode_record(&mut buf, id, fix);
-        let res = self.append_encoded(&buf);
+        let res = self.append_record(id, fix);
         if res.is_err() {
             // The segment may end in a torn record; never append after it.
-            self.writer = None;
+            self.abandon_segment();
         }
-        self.buf = buf;
         res
     }
 
-    /// Writes one already-encoded record to the current segment,
-    /// rotating and syncing per policy. On error the caller abandons
-    /// the segment.
-    fn append_encoded(&mut self, buf: &[u8]) -> Result<(), StoreError> {
-        let n = buf.len() as u64;
+    /// Encodes one record into `pending`, then writes, syncs and rotates
+    /// per policy. On error the caller abandons the segment.
+    fn append_record(&mut self, id: ObjectId, fix: &Fix) -> Result<(), StoreError> {
         self.open_segment()?;
-        // `next_seq` already points past the segment we just opened.
-        let path = segment_path(&self.dir, self.next_seq - 1);
-        let Some(w) = self.writer.as_mut() else {
-            return Err(io_err(&path, std::io::Error::other("segment writer missing")));
-        };
-        w.write_all(buf).map_err(|e| io_err(&path, e))?;
-        self.segment_bytes += n;
+        encode_record(&mut self.pending, id, fix);
+        self.segment_bytes += RECORD_BYTES as u64;
         self.appends_since_sync += 1;
-        let due = match self.opts.sync {
-            SyncPolicy::EveryAppend => true,
-            SyncPolicy::EveryN(n) => self.appends_since_sync >= n,
-            SyncPolicy::Manual => false,
-        };
-        if due {
-            self.sync()?;
+        match self.opts.sync {
+            SyncPolicy::EveryAppend => self.sync()?,
+            SyncPolicy::EveryN(n) => {
+                // Written now, so a process crash alone loses nothing.
+                self.write_pending()?;
+                if self.appends_since_sync >= n {
+                    self.sync()?;
+                }
+            }
+            SyncPolicy::Manual => {}
         }
         traj_obs::counter!("store", "wal_appends").inc();
-        traj_obs::counter!("store", "wal_append_bytes").add(n);
+        traj_obs::counter!("store", "wal_append_bytes").add(RECORD_BYTES as u64);
         if self.segment_bytes >= self.opts.segment_max_bytes {
             self.rotate()?;
         }
         Ok(())
     }
 
-    /// Forces everything appended so far down to durable storage.
+    /// Writes `pending` to the current segment with one call and empties
+    /// it, whether or not the write succeeds.
+    fn write_pending(&mut self) -> Result<(), StoreError> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let res = match self.writer.as_mut() {
+            Some(w) => w.write_all(&self.pending),
+            None => Err(std::io::Error::other("segment writer missing")),
+        };
+        self.pending.clear();
+        // `next_seq` already points past the open segment.
+        res.map_err(|e| io_err(&segment_path(&self.dir, self.next_seq - 1), e))
+    }
+
+    /// Drops the current segment and any records not yet written to it.
+    fn abandon_segment(&mut self) {
+        self.writer = None;
+        self.pending.clear();
+    }
+
+    /// Writes every buffered record, then forces everything appended so
+    /// far down to durable storage.
     ///
     /// # Errors
-    /// Backend sync failures.
+    /// Backend write or sync failures. A failed write abandons the
+    /// segment and drops the records it held, like a failed append.
     pub fn sync(&mut self) -> Result<(), StoreError> {
+        if let Err(e) = self.write_pending() {
+            self.abandon_segment();
+            return Err(e);
+        }
         if let Some(w) = &mut self.writer {
             let _span = traj_obs::trace_span!("wal.fsync");
             w.sync().map_err(|e| io_err(&self.dir, e))?;
@@ -584,6 +632,90 @@ mod tests {
             replay_dir(&MemStorage::new(), Path::new("/nope"))?;
         assert!(records.is_empty());
         assert_eq!(summary, ReplaySummary::default());
+        Ok(())
+    }
+
+    #[test]
+    fn every_n_writes_each_record_before_any_sync() -> Result<(), Box<dyn std::error::Error>> {
+        let storage = Arc::new(MemStorage::new());
+        let opts = WalOptions { sync: SyncPolicy::EveryN(4), ..WalOptions::default() };
+        let mut wal = Wal::open(storage.clone(), &wal_dir(), opts)?;
+        let seg = segment_path(&wal_dir(), 1);
+        for i in 0..3 {
+            let writes = storage.write_count();
+            wal.append(1, &fix(i as f64))?;
+            // The record is in storage (the OS, for a real file) as soon
+            // as the append returns: a process crash alone loses nothing.
+            assert!(storage.write_count() > writes, "append {i} wrote nothing");
+            let len = storage.file(&seg).ok_or("missing segment")?.len();
+            assert_eq!(len, SEGMENT_MAGIC.len() + (i + 1) * RECORD_BYTES);
+        }
+        assert_eq!(storage.sync_count(), 0, "no sync before the 4th append");
+        drop(wal); // process crash: no further call reaches the log
+        let (records, _) = replay_dir(storage.as_ref(), &wal_dir())?;
+        assert_eq!(records.len(), 3);
+        Ok(())
+    }
+
+    #[test]
+    fn manual_holds_records_in_memory_until_sync() -> Result<(), Box<dyn std::error::Error>> {
+        let storage = Arc::new(MemStorage::new());
+        let opts = WalOptions { sync: SyncPolicy::Manual, ..WalOptions::default() };
+        let mut wal = Wal::open(storage.clone(), &wal_dir(), opts)?;
+        for i in 0..5 {
+            wal.append(1, &fix(i as f64))?;
+        }
+        let seg = segment_path(&wal_dir(), 1);
+        assert_eq!(storage.file(&seg).ok_or("missing segment")?.len(), SEGMENT_MAGIC.len());
+        let writes = storage.write_count();
+        wal.sync()?;
+        assert_eq!(storage.write_count() - writes, 1);
+        assert_eq!(storage.sync_count(), 1);
+        // Unsynced records die with the handle.
+        wal.append(1, &fix(5.0))?;
+        drop(wal);
+        let (records, _) = replay_dir(storage.as_ref(), &wal_dir())?;
+        assert_eq!(records.len(), 5);
+        Ok(())
+    }
+
+    #[test]
+    fn manual_rotates_on_buffered_bytes() -> Result<(), Box<dyn std::error::Error>> {
+        let storage = Arc::new(MemStorage::new());
+        let opts = WalOptions { segment_max_bytes: 128, sync: SyncPolicy::Manual };
+        let mut wal = Wal::open(storage.clone(), &wal_dir(), opts)?;
+        for i in 0..20 {
+            wal.append(1, &fix(i as f64))?;
+        }
+        wal.sync()?;
+        let (records, summary) = replay_dir(storage.as_ref(), &wal_dir())?;
+        assert_eq!(records.len(), 20);
+        // 8 B header + 3 records reach 128 B: a new segment every 3.
+        assert_eq!(summary.segments, 7);
+        Ok(())
+    }
+
+    #[test]
+    fn failed_deferred_write_abandons_the_segment() -> Result<(), Box<dyn std::error::Error>> {
+        let storage = Arc::new(MemStorage::new());
+        let opts = WalOptions { sync: SyncPolicy::Manual, ..WalOptions::default() };
+        let mut wal = Wal::open(storage.clone(), &wal_dir(), opts)?;
+        wal.append(1, &fix(0.0))?;
+        wal.sync()?;
+        wal.append(1, &fix(1.0))?;
+        wal.append(1, &fix(2.0))?;
+        storage.arm_write_budget(RECORD_BYTES as u64 + 5); // tears record 2
+        let err = wal.sync().unwrap_err();
+        assert!(err.to_string().contains("wal-00000001.log"), "{err}");
+        storage.lift_faults();
+        // The next append starts a fresh segment, never after the tear.
+        wal.append(1, &fix(3.0))?;
+        wal.sync()?;
+        let (records, summary) = replay_dir(storage.as_ref(), &wal_dir())?;
+        let ts: Vec<f64> = records.iter().map(|r| r.fix.t.as_secs()).collect();
+        assert_eq!(ts, vec![0.0, 1.0, 3.0]);
+        assert_eq!(summary.segments, 2);
+        assert!(summary.torn_tail);
         Ok(())
     }
 
